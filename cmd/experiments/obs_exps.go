@@ -181,9 +181,10 @@ func runE22(cfg runConfig) error {
 
 // replayBreakdown records one trace of s and splits its profiling cost:
 // decode is a bare replay into a no-op consumer, profile is the extra
-// cost of feeding OrgProfilers during a second replay, merge is curve
-// extraction. The profilers' totals are published to reg so the snapshot
-// stays consistent with the work done.
+// cost of feeding a one-worker trace.OrgShards (ProfileOrgsJobs' engine at
+// jobs=1) during a second replay, merge is curve extraction. The
+// profilers' totals are published to reg so the snapshot stays
+// consistent with the work done.
 func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs []trace.OrgSpec, warm, meas int64, reg *obs.Registry) (decode, profile, merge time.Duration, accesses int64, err error) {
 	plan, err := s.Prepare(g, env)
 	if err != nil {
@@ -218,20 +219,20 @@ func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs
 	}
 	decode = time.Since(start)
 
-	p, err := trace.NewOrgProfilers(specs)
+	shards, err := trace.NewOrgShards(specs, 1)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	start = time.Now()
-	if err := log.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
+	if err := log.FanOut([]trace.WindowedConsumer{shards.Shard(0)}); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if profile = time.Since(start) - decode; profile < 0 {
 		profile = 0 // replay jitter can dip under the bare-decode sample
 	}
 	start = time.Now()
-	curves := p.Curves()
+	curves := shards.Curves()
 	merge = time.Since(start)
-	p.PublishMetrics(reg, curves)
+	shards.PublishMetrics(reg, curves)
 	return decode, profile, merge, curves[0].LRU.Accesses, nil
 }

@@ -23,7 +23,7 @@ func init() {
 // partition, the classic fine-grained pipeline (one module per segment,
 // no cache awareness), and the paper's cache-aware partition under the
 // pipeline rule. Each run is recorded once and a whole (L1, L2) grid is
-// profiled from the trace (hierarchy.ProfileShared); every grid point of
+// profiled from the trace (hierarchy.ProfileSharedJobs); every grid point of
 // every run is then cross-validated exactly against the shared-L2
 // simulator replaying the same interleaving (hierarchy.SimulateSharedLog),
 // whose L2 is an independent implementation (a policy-ordered bank, not

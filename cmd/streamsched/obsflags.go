@@ -34,20 +34,17 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	return o
 }
 
-// logWorkerChoice reports, under -v, the worker counts the profiling
+// logWorkerChoice reports, under -v, the shard worker count the profiling
 // engine actually chose — the adaptive heuristic may cap -profilejobs at
-// the grid's independent unit count, and -decodejobs is capped at the
-// trace's chunk count. Reads the profile.shard.workers and
-// profile.pipeline.decode.workers gauges the pipeline publishes, so it
-// must run after the sweep.
+// the grid's independent unit count. Reads the profile.shard.workers
+// gauge the pipeline publishes, so it must run after the sweep.
 func (o *obsFlags) logWorkerChoice(out io.Writer) {
 	if !o.verbose {
 		return
 	}
 	snap := obs.Default().Snapshot()
 	if w, ok := snap.Gauges["profile.shard.workers"]; ok {
-		fmt.Fprintf(out, "profile: %d shard worker(s), %d decode worker(s)\n",
-			w, snap.Gauges["profile.pipeline.decode.workers"])
+		fmt.Fprintf(out, "profile: %d shard worker(s)\n", w)
 	}
 }
 

@@ -44,7 +44,6 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	detail := fs.Bool("detail", true, "per-processor breakdown of the first grid point")
 	profileJobs := fs.Int("profilejobs", 0, "shard workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
-	decodeJobs := fs.Int("decodejobs", 0, "parallel chunk-decode workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -141,7 +140,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 
 	cfg := parallel.Config{
 		Procs: *procs,
-		Env:   schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs, DecodeJobs: *decodeJobs},
+		Env:   schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs},
 		Cache: streamsched.CacheConfig{Capacity: 2 * *m, Block: *b},
 		Rule:  prule,
 	}
@@ -157,7 +156,7 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	}
 	defer plog.Close()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileSharedJobs(plog, spec, *profileJobs, *decodeJobs)
+	curves, err := hierarchy.ProfileSharedJobs(plog, spec, *profileJobs, 1)
 	stage.End()
 	sp.End()
 	of.logWorkerChoice(out)

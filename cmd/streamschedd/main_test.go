@@ -41,6 +41,22 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestNegativeJobsRejected: negative worker counts are a usage error, not
+// a silent fallback to one worker per CPU. The unbindable listen address
+// makes a daemon that accepted the flags fail fast with a listen error.
+func TestNegativeJobsRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-jobs", "-5"},
+		{"-profilejobs", "-5"},
+		{"-jobs", "-1", "-profilejobs", "2"},
+	} {
+		err := realMain(append([]string{"-listen", "127.0.0.1:-1"}, args...), io.Discard, nil)
+		if err == nil || !strings.HasPrefix(err.Error(), "usage:") {
+			t.Errorf("realMain(%v) = %v, want a usage error", args, err)
+		}
+	}
+}
+
 // TestDaemonLifecycle boots the real daemon on an ephemeral port, serves
 // a plan request end to end, and shuts it down with a real SIGTERM.
 func TestDaemonLifecycle(t *testing.T) {

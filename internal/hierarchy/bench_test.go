@@ -42,33 +42,32 @@ func benchSpec() HierSpec {
 	}
 }
 
-// BenchmarkProfileHier measures the one-pass grid evaluation: one log
-// replayed through the L1 organisation profilers plus one exact filter per
-// L1 point feeding the L2 profilers.
+// BenchmarkProfileHier measures the one-pass grid evaluation on one
+// worker: one inline replay through the L1 organisation profilers plus
+// one exact filter per L1 point feeding the L2 profilers.
 func BenchmarkProfileHier(b *testing.B) {
 	l := benchLog()
 	spec := benchSpec()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileHier(l, spec); err != nil {
+		if _, err := ProfileHierJobs(l, spec, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProfileHierSharded is BenchmarkProfileHier through the sharded
-// engine at one worker per CPU, decode stage included: (L1 point, L2
-// family) units round-robined across workers, each owning a deterministic
-// L1 filter replica. At GOMAXPROCS=1 this delegates to the sequential
-// path; on the multi-core CI bench runner the paired diff against
-// BenchmarkProfileHier shows the speedup.
+// BenchmarkProfileHierSharded is BenchmarkProfileHier at one worker per
+// CPU: (L1 point, L2 family) units round-robined across workers, each
+// owning a deterministic L1 filter replica. At GOMAXPROCS=1 it is
+// BenchmarkProfileHier; on more cores the paired diff against it shows
+// the speedup.
 func BenchmarkProfileHierSharded(b *testing.B) {
 	l := benchLog()
 	spec := benchSpec()
 	jobs := trace.ProfileWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileHierJobs(l, spec, jobs, 0); err != nil {
+		if _, err := ProfileHierJobs(l, spec, jobs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -96,7 +95,7 @@ func BenchmarkSimAccess(b *testing.B) {
 }
 
 // BenchmarkSimulateLog measures pointwise two-level replay of one grid
-// point — the per-point cost ProfileHier amortises away.
+// point — the per-point cost ProfileHierJobs amortises away.
 func BenchmarkSimulateLog(b *testing.B) {
 	l := benchLog()
 	cfg := Config{
@@ -134,25 +133,25 @@ func benchProcLog(procs int) *trace.ProcLog {
 	return pl
 }
 
-// BenchmarkProfileShared measures the one-pass shared-L2 grid: per-proc
-// private L1 replicas for every L1 point feeding the shared L2 profilers.
+// BenchmarkProfileShared measures the one-pass shared-L2 grid on one
+// worker: per-proc private L1 replicas for every L1 point feeding the
+// shared L2 profilers.
 func BenchmarkProfileShared(b *testing.B) {
 	pl := benchProcLog(4)
 	hs := benchSpec()
 	spec := SharedSpec{Block: hs.Block, Procs: 4, L1s: hs.L1s, L2s: hs.L2s}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileShared(pl, spec); err != nil {
+		if _, err := ProfileSharedJobs(pl, spec, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProfileSharedSharded is BenchmarkProfileShared through the
-// sharded engine at one worker per CPU (per-processor L1 bank replicas on
-// each owning worker). At GOMAXPROCS=1 this delegates to the sequential
-// path; the CI bench job's paired diff against BenchmarkProfileShared is
-// the speedup evidence.
+// BenchmarkProfileSharedSharded is BenchmarkProfileShared at one worker
+// per CPU (per-processor L1 bank replicas on each owning worker). At
+// GOMAXPROCS=1 it is BenchmarkProfileShared; on more cores the paired
+// diff against it is the speedup evidence.
 func BenchmarkProfileSharedSharded(b *testing.B) {
 	pl := benchProcLog(4)
 	hs := benchSpec()
@@ -160,14 +159,14 @@ func BenchmarkProfileSharedSharded(b *testing.B) {
 	jobs := trace.ProfileWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileSharedJobs(pl, spec, jobs, 0); err != nil {
+		if _, err := ProfileSharedJobs(pl, spec, jobs, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkSimulateSharedLog measures pointwise shared-hierarchy replay of
-// one grid point — the per-point cost ProfileShared amortises away.
+// one grid point — the per-point cost ProfileSharedJobs amortises away.
 func BenchmarkSimulateSharedLog(b *testing.B) {
 	pl := benchProcLog(4)
 	cfg := SharedConfig{

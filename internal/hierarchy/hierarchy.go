@@ -12,9 +12,9 @@
 //     together, supporting non-inclusive (default) and exclusive victim
 //     modes, with per-level hit/miss counters and an AMAT-style composed
 //     cost model.
-//   - ProfileHier is the one-pass evaluation path built on the
+//   - ProfileHierJobs is the one-pass evaluation path built on the
 //     internal/trace machinery: record one log per scheduler, compute L1
-//     miss curves via trace.ProfileOrgs, then filter the trace through an
+//     miss curves via trace.OrgShards, then filter the trace through an
 //     exact L1 replica per L1 design point and profile the filtered miss
 //     stream — per-set Mattson stacks for LRU, multiplexed replicas for
 //     FIFO — to produce exact L2 curves for every L2 organisation. One
@@ -31,21 +31,19 @@
 // feeding one shared L2 in the interleaved order a parallel run emitted
 // (trace.ProcLog): SharedSim is the exact simulator (per-processor
 // counters, attributed L2 traffic, makespan under the cost model) and
-// ProfileShared the one-pass grid evaluator — per-processor L1 replicas
+// ProfileSharedJobs the one-pass grid evaluator — per-processor L1 replicas
 // whose merged miss stream drives the shared-L2 profilers. Experiment E21
 // cross-validates every shared grid point against SharedSim.
 //
-// Both one-pass profilers have sharded variants, ProfileHierJobs and
-// ProfileSharedJobs, that split the grid across a worker pool fed by
-// trace's FanOut pipeline: the unit of ownership is an (L1 point, L2
-// family) pair, each owning worker keeps a deterministic private replica
-// of the L1 filter (per-processor replicas for the shared grid), and a
-// designated owner per L1 point reports its miss count. Replicas are exact
-// duplicates fed the identical stream, so curves are byte-identical to the
-// sequential path for any worker count (0 = one worker per CPU, 1 =
-// sequential) — the jobs argument is purely a speed knob, and equivalence
-// tests pin it at this layer and end to end through the schedule
-// harnesses.
+// Both one-pass profilers split the grid across a worker pool fed by
+// trace's FanOut: the unit of ownership is an (L1 point, L2 family) pair,
+// each owning worker keeps a deterministic private replica of the L1
+// filter (per-processor replicas for the shared grid), and a designated
+// owner per L1 point reports its miss count. Replicas are exact
+// duplicates fed the identical stream, so curves are byte-identical for
+// any worker count (0 = one worker per CPU; one worker replays inline) —
+// the jobs argument is purely a speed knob, and equivalence tests pin it
+// at this layer and end to end through the schedule harnesses.
 package hierarchy
 
 import (

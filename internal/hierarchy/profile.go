@@ -83,9 +83,10 @@ func (c *HierCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Misses[i], c.L2Misses[i][j])
 }
 
-// l2Group is one (block ratio, set count) family of L2 profilers behind a
-// single L1 filter: the per-set Mattson stacks answer every LRU way count
-// of the family at once, and the FIFO replicas answer the replayed ways.
+// l2Group is one (block ratio, set count) family of L2 profilers behind
+// one L1 design point: the per-set Mattson stacks answer every LRU way
+// count of the family at once, and the FIFO replicas answer the replayed
+// ways. An LRU-only family holds no FIFO profiler and vice versa.
 type l2Group struct {
 	ratio int64
 	assoc *trace.AssocProfiler // nil unless some L2 point wants LRU
@@ -95,53 +96,11 @@ type l2Group struct {
 	fifoCurve  *trace.FIFOCurve
 }
 
-// l2Slot locates one L2 design point inside its filter's groups.
+// l2Slot locates one L2 design point inside an L1 point's groups.
 type l2Slot struct {
 	group int
 	ways  int64
 	fifo  bool
-}
-
-// l1Filter is one L1 design point's exact replica: a cachesim.Bank that
-// filters the trace, plus the L2 profiler groups fed by its miss stream.
-type l1Filter struct {
-	bank   *cachesim.Bank
-	misses int64 // in-window misses, cross-checked against ProfileOrgs
-	groups []*l2Group
-	slots  []l2Slot // per L2 design point
-}
-
-// touch runs one trace access through the filter; on a miss the filtered
-// block feeds every L2 group at its own granularity.
-func (f *l1Filter) touch(blk int64) {
-	if f.bank.Access(blk) {
-		return
-	}
-	f.bank.Insert(blk)
-	f.misses++
-	for _, g := range f.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
-	}
-}
-
-// resetCounts starts the measured window: miss counters and L2 histograms
-// reset, warm cache and stack state kept.
-func (f *l1Filter) resetCounts() {
-	f.misses = 0
-	for _, g := range f.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
-	}
 }
 
 // l2Family collects one (block ratio, set count) family's profiling
@@ -195,28 +154,41 @@ func newL2Group(fam *l2Family) *l2Group {
 	return g
 }
 
-// newL2Groups instantiates one fresh set of profilers per family.
-func newL2Groups(fams []*l2Family) []*l2Group {
-	groups := make([]*l2Group, len(fams))
-	for fi, fam := range fams {
-		groups[fi] = newL2Group(fam)
+// touch feeds one L1 miss to the family at its own block granularity.
+func (g *l2Group) touch(blk int64) {
+	b2 := coarsen(blk, g.ratio)
+	if g.assoc != nil {
+		g.assoc.Touch(b2)
 	}
-	return groups
+	if g.fifo != nil {
+		g.fifo.Touch(b2)
+	}
 }
 
-// l2MissRow finalises the groups' profilers into curves (idempotent
-// across filters sharing nothing — each filter owns its groups) and
-// extracts one filter's L2 miss counts, in L2-spec order. Shared by the
-// uniprocessor (l1Filter) and shared-L2 (sharedFilter) profilers.
-func l2MissRow(groups []*l2Group, slots []l2Slot) ([]int64, error) {
-	for _, g := range groups {
-		if g.assoc != nil && g.assocCurve == nil {
-			g.assocCurve = g.assoc.Curve()
-		}
-		if g.fifo != nil && g.fifoCurve == nil {
-			g.fifoCurve = g.fifo.Curve()
-		}
+// resetCounts starts the measured window, keeping warm stack state.
+func (g *l2Group) resetCounts() {
+	if g.assoc != nil {
+		g.assoc.ResetCounts()
 	}
+	if g.fifo != nil {
+		g.fifo.ResetCounts()
+	}
+}
+
+// finalise freezes the group's profilers into curves.
+func (g *l2Group) finalise() {
+	if g.assoc != nil {
+		g.assocCurve = g.assoc.Curve()
+	}
+	if g.fifo != nil {
+		g.fifoCurve = g.fifo.Curve()
+	}
+}
+
+// l2MissRow extracts one L1 point's L2 miss counts from its finalised
+// groups, in L2-spec order. Shared by the uniprocessor and shared-L2
+// profilers.
+func l2MissRow(groups []*l2Group, slots []l2Slot) ([]int64, error) {
 	row := make([]int64, len(slots))
 	for j, slot := range slots {
 		g := groups[slot.group]
@@ -233,25 +205,10 @@ func l2MissRow(groups []*l2Group, slots []l2Slot) ([]int64, error) {
 	return row, nil
 }
 
-// buildFilters assembles one l1Filter per L1 design point.
-func buildFilters(spec HierSpec) []*l1Filter {
-	fams, slots := l2Families(spec.Block, spec.L2s)
-	filters := make([]*l1Filter, len(spec.L1s))
-	for i, l1 := range spec.L1s {
-		filters[i] = &l1Filter{
-			bank:   l1.bank(),
-			slots:  slots,
-			groups: newL2Groups(fams),
-		}
-	}
-	return filters
-}
-
 // hierOrgSpecs groups the L1 design points into organisation specs by
 // set count (FIFO points adding their way counts to the family's replay
 // list), returning the set-count → spec-index map used to find each
-// point's curves again. Shared by the sequential and sharded hierarchy
-// profilers.
+// point's curves again.
 func hierOrgSpecs(l1s []Level) ([]trace.OrgSpec, map[int64]int) {
 	specIdx := make(map[int64]int)
 	var orgSpecs []trace.OrgSpec
@@ -326,63 +283,4 @@ func publishHierGroupMetrics(reg *obs.Registry, filterMisses int64, groups [][]*
 	reg.Counter("hier.filter.misses").Add(filterMisses)
 	reg.Counter("trace.profile.fenwick.ops").Add(l2Ops)
 	reg.Counter("hier.profile.points").Add(int64(points))
-}
-
-// ProfileHier evaluates the whole (L1, L2) grid from one recorded log in
-// a single replay: the organisation profilers (exact L1 curves) and the
-// per-point L1 filters (whose miss streams drive the L2 profilers) ride
-// the same ForEach, so a spilled trace is read off disk exactly once. The
-// replay honours the log's measured window, and the filters' windowed miss
-// counts are cross-checked against the organisation curves — two
-// independent implementations of every L1 point agreeing access for
-// access. ProfileHierJobs shards the same computation across a worker
-// pool with byte-identical results.
-func ProfileHier(l *trace.Log, spec HierSpec) (*HierCurves, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-
-	// L1 curves via the PR 2 organisation profiler.
-	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
-	orgProfs, err := trace.NewOrgProfilers(orgSpecs)
-	if err != nil {
-		return nil, err
-	}
-
-	// One pass drives both the L1 curves and the filtered L2 profilers.
-	reg := l.Metrics()
-	stop := reg.Timer("hier.profile").Start()
-	filters := buildFilters(spec)
-	err = l.ForEachWindowed(func() {
-		orgProfs.ResetCounts()
-		for _, f := range filters {
-			f.resetCounts()
-		}
-	}, func(blk int64) {
-		orgProfs.Touch(blk)
-		for _, f := range filters {
-			f.touch(blk)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	orgCurves := orgProfs.Curves()
-
-	misses := make([]int64, len(filters))
-	groups := make([][]*l2Group, len(filters))
-	var totalMisses int64
-	for i, f := range filters {
-		misses[i] = f.misses
-		groups[i] = f.groups
-		totalMisses += f.misses
-	}
-	out, err := assembleHier(spec, orgCurves, specIdx, misses, groups, filters[0].slots)
-	if err != nil {
-		return nil, err
-	}
-	stop()
-	orgProfs.PublishMetrics(reg, orgCurves)
-	publishHierGroupMetrics(reg, totalMisses, groups, len(spec.L1s)*len(spec.L2s))
-	return out, nil
 }

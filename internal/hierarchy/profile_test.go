@@ -49,35 +49,38 @@ func recordLog(blocks []int64, warm int) *trace.Log {
 }
 
 // TestProfileHierMatchesSimulator is the package's core exactness check:
-// every grid point of the one-pass profile equals a fresh pointwise replay
-// through the two-level simulator, warm window included.
+// every grid point of the one-pass profile, at one and two workers, equals
+// a fresh pointwise replay through the two-level simulator, warm window
+// included.
 func TestProfileHierMatchesSimulator(t *testing.T) {
 	spec := testSpec()
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		blocks := stream(rng, 20000, 300)
 		l := recordLog(blocks, 5000)
-		hc, err := ProfileHier(l, spec)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if hc.Accesses != 15000 {
-			t.Errorf("seed %d: windowed accesses = %d, want 15000", seed, hc.Accesses)
-		}
-		for i := range spec.L1s {
-			for j := range spec.L2s {
-				sim, err := SimulateLog(l, spec.Config(i, j))
-				if err != nil {
-					t.Fatalf("seed %d (%d,%d): %v", seed, i, j, err)
-				}
-				l1, l2 := hc.Point(i, j)
-				if l1 != sim.L1Stats().Misses || l2 != sim.L2Stats().Misses {
-					t.Errorf("seed %d L1=%v L2=%v: curve (%d, %d), simulator (%d, %d)",
-						seed, spec.L1s[i], spec.L2s[j], l1, l2,
-						sim.L1Stats().Misses, sim.L2Stats().Misses)
-				}
-				if got, want := hc.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
-					t.Errorf("seed %d (%d,%d): AMAT %v vs %v", seed, i, j, got, want)
+		for _, jobs := range []int{1, 2} {
+			hc, err := ProfileHierJobs(l, spec, jobs, 1)
+			if err != nil {
+				t.Fatalf("seed %d jobs %d: %v", seed, jobs, err)
+			}
+			if hc.Accesses != 15000 {
+				t.Errorf("seed %d jobs %d: windowed accesses = %d, want 15000", seed, jobs, hc.Accesses)
+			}
+			for i := range spec.L1s {
+				for j := range spec.L2s {
+					sim, err := SimulateLog(l, spec.Config(i, j))
+					if err != nil {
+						t.Fatalf("seed %d (%d,%d): %v", seed, i, j, err)
+					}
+					l1, l2 := hc.Point(i, j)
+					if l1 != sim.L1Stats().Misses || l2 != sim.L2Stats().Misses {
+						t.Errorf("seed %d jobs %d L1=%v L2=%v: curve (%d, %d), simulator (%d, %d)",
+							seed, jobs, spec.L1s[i], spec.L2s[j], l1, l2,
+							sim.L1Stats().Misses, sim.L2Stats().Misses)
+					}
+					if got, want := hc.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
+						t.Errorf("seed %d jobs %d (%d,%d): AMAT %v vs %v", seed, jobs, i, j, got, want)
+					}
 				}
 			}
 		}
@@ -105,16 +108,18 @@ func TestProfileHierSpillIdentical(t *testing.T) {
 		t.Fatal("spill threshold never triggered; the test is vacuous")
 	}
 	spec := testSpec()
-	a, err := ProfileHier(mem, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ProfileHier(spilled, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("spill-backed curves differ from in-memory curves:\nmem: %+v\nspill: %+v", a, b)
+	for _, jobs := range []int{1, 2} {
+		a, err := ProfileHierJobs(mem, spec, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ProfileHierJobs(spilled, spec, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("jobs=%d: spill-backed curves differ from in-memory curves:\nmem: %+v\nspill: %+v", jobs, a, b)
+		}
 	}
 }
 
@@ -138,12 +143,12 @@ func TestProfileHierSinglePass(t *testing.T) {
 	if !spilled.Spilled() {
 		t.Fatal("spill threshold never triggered; the test is vacuous")
 	}
-	if _, err := ProfileHier(spilled, testSpec()); err != nil {
+	if _, err := ProfileHierJobs(spilled, testSpec(), 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	st := spilled.Stats()
 	if st.Replays != 1 {
-		t.Errorf("ProfileHier paid %d trace replays, want 1", st.Replays)
+		t.Errorf("ProfileHierJobs paid %d trace replays, want 1", st.Replays)
 	}
 	if st.Accesses != int64(len(blocks)) {
 		t.Errorf("stats count %d accesses, recorded %d", st.Accesses, len(blocks))
@@ -174,8 +179,8 @@ func TestHierSpecValidate(t *testing.T) {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
-	if _, err := ProfileHier(trace.NewLog(), bad[0]); err == nil {
-		t.Error("ProfileHier accepted an invalid spec")
+	if _, err := ProfileHierJobs(trace.NewLog(), bad[0], 1, 1); err == nil {
+		t.Error("ProfileHierJobs accepted an invalid spec")
 	}
 }
 
@@ -183,7 +188,7 @@ func TestHierSpecValidate(t *testing.T) {
 func TestProfileHierEmptyWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := recordLog(stream(rng, 2000, 100), 2000)
-	hc, err := ProfileHier(l, testSpec())
+	hc, err := ProfileHierJobs(l, testSpec(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,18 +8,19 @@ import (
 	"streamsched/internal/trace"
 )
 
-// Sharded hierarchy profiling. The unit of parallel work is one
-// (L1 design point, L2 family) pair: each family's profiler group is
-// owned by exactly one worker, assigned round-robin, and every worker
-// owning at least one family of an L1 point keeps its own deterministic
-// replica of that point's filter bank. Replicas all see the identical
-// full access stream (via the FanOut pipeline), so they produce identical
-// miss streams — each worker feeds its owned groups the same filtered
-// stream the sequential profiler would have, in the same order, and the
-// merged curves are byte-identical. The L1 organisation curves ride the
-// same worker pool through trace.OrgShards. The replica redundancy costs
-// one Bank lookup per (worker, L1 point) per access; the expensive state
-// — the per-set L2 Mattson stacks and FIFO rows — is never duplicated.
+// Hierarchy profiling. The unit of work is one (L1 design point, L2
+// family) pair: each family's profiler group is owned by exactly one
+// worker, assigned round-robin, and every worker owning at least one
+// family of an L1 point keeps its own deterministic replica of that
+// point's filter bank. Replicas all see the identical full access stream
+// (via trace FanOut), so they produce identical miss streams — each
+// worker feeds its owned groups the same filtered stream a single worker
+// would, in the same order, and the curves do not depend on the worker
+// count. The L1 organisation curves ride the same worker pool through
+// trace.OrgShards. The replica redundancy costs one Bank lookup per
+// (worker, L1 point) per access; the expensive state — the per-set L2
+// Mattson stacks and FIFO rows — is never duplicated. With one worker
+// there is one replica per L1 point and the pass runs inline.
 
 // filterReplica is one worker's replica of an L1 filter bank plus the L2
 // family groups the worker owns behind it. The replica designated at
@@ -38,29 +39,18 @@ func (r *filterReplica) touch(blk int64) {
 	r.bank.Insert(blk)
 	r.misses++
 	for _, g := range r.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
+		g.touch(blk)
 	}
 }
 
 func (r *filterReplica) resetCounts() {
 	r.misses = 0
 	for _, g := range r.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
+		g.resetCounts()
 	}
 }
 
-// hierShardWorker is one worker's share of a sharded ProfileHier pass: an
+// hierShardWorker is one worker's share of a ProfileHierJobs pass: an
 // organisation-curve shard plus its filter replicas. It implements
 // trace.WindowedConsumer.
 type hierShardWorker struct {
@@ -105,17 +95,10 @@ func assignHierUnits(nL1, nFams, workers int) (owner [][]int, designated []int) 
 // mergeUnitsTimed finalises one L1 point's (point, L2 family) unit
 // profilers into curves, recording each unit's extraction time into h
 // (the hier.shard.unit.merge histogram; nil h skips the clocks).
-// Finalisation is idempotent, so l2MissRow afterwards reads the already
-// extracted curves and the timing wraps exactly the per-unit merge work.
 func mergeUnitsTimed(h *obs.Histogram, groups []*l2Group) {
 	for _, g := range groups {
 		stop := h.Start()
-		if g.assoc != nil && g.assocCurve == nil {
-			g.assocCurve = g.assoc.Curve()
-		}
-		if g.fifo != nil && g.fifoCurve == nil {
-			g.fifoCurve = g.fifo.Curve()
-		}
+		g.finalise()
 		stop()
 	}
 }
@@ -134,31 +117,32 @@ func hierShardUnits(orgSpecs []trace.OrgSpec, nL1, nFams int) int64 {
 	return units
 }
 
-// ProfileHierJobs is ProfileHier with the grid's profiling work sharded
-// across a worker pool: jobs <= 0 uses one worker per CPU, 1 is exactly
-// ProfileHier, larger values pin the worker count — capped at the grid's
-// independent unit count. One replay feeds every worker through the
-// FanOut pipeline, decoded by decodeJobs parallel chunk decoders (same
-// knob convention); the returned curves are byte-identical to the
-// sequential path's.
+// ProfileHierJobs evaluates the whole (L1, L2) grid from one recorded log
+// in a single replay: the organisation profilers (exact L1 curves) and
+// the per-point L1 filters (whose miss streams drive the L2 profilers)
+// ride the same pass, so a spilled trace is read off disk exactly once.
+// The replay honours the log's measured window, and the filters' windowed
+// miss counts are cross-checked against the organisation curves — two
+// independent implementations of every L1 point agreeing access for
+// access. The work is sharded across a worker pool: jobs <= 0 uses one
+// worker per CPU, larger values pin the worker count — capped at the
+// grid's independent unit count. The curves do not depend on the worker
+// count. The decodeJobs parameter is deprecated: ignored; decoding is one
+// in-order pass.
 func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
-	fams0, _ := l2Families(spec.Block, spec.L2s)
+	fams, slots := l2Families(spec.Block, spec.L2s)
 	workers := trace.ProfileWorkers(jobs)
-	if u := hierShardUnits(orgSpecs, len(spec.L1s), len(fams0)); int64(workers) > u {
+	if u := hierShardUnits(orgSpecs, len(spec.L1s), len(fams)); int64(workers) > u {
 		workers = int(u)
-	}
-	if workers <= 1 && trace.ProfileWorkers(decodeJobs) <= 1 {
-		return ProfileHier(l, spec)
 	}
 	shards, err := trace.NewOrgShards(orgSpecs, workers)
 	if err != nil {
 		return nil, err
 	}
-	fams, slots := l2Families(spec.Block, spec.L2s)
 	pool := make([]*hierShardWorker, workers)
 	for w := range pool {
 		pool[w] = &hierShardWorker{org: shards.Shard(w)}
@@ -191,7 +175,7 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 	for w := range consumers {
 		consumers[w] = pool[w]
 	}
-	if err := l.FanOut(consumers, decodeJobs); err != nil {
+	if err := l.FanOut(consumers); err != nil {
 		return nil, err
 	}
 	orgCurves := shards.Curves()
@@ -233,13 +217,7 @@ func (r *sharedReplica) touch(proc int, blk int64) {
 	b.Insert(blk)
 	r.misses[proc]++
 	for _, g := range r.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
+		g.touch(blk)
 	}
 }
 
@@ -248,17 +226,11 @@ func (r *sharedReplica) resetCounts() {
 		r.misses[p] = 0
 	}
 	for _, g := range r.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
+		g.resetCounts()
 	}
 }
 
-// sharedShardWorker is one worker's share of a sharded ProfileShared
-// pass. Worker 0 additionally tallies the (per-processor) windowed access
+// sharedShardWorker is one worker's share of a ProfileSharedJobs pass. Worker 0 additionally tallies the (per-processor) windowed access
 // counts the result reports. It implements trace.ProcWindowedConsumer.
 type sharedShardWorker struct {
 	count        bool
@@ -289,10 +261,19 @@ func (w *sharedShardWorker) TouchProc(proc int, blk int64) {
 	}
 }
 
-// ProfileSharedJobs is ProfileShared with the grid's profiling work
-// sharded across a worker pool, with the same jobs and decodeJobs
-// conventions and byte-identical results as ProfileHierJobs. The worker
-// cap is the shared grid's unit count, (L1 points) × (L2 families).
+// ProfileSharedJobs evaluates the whole (L1, L2) grid from one recorded
+// multiprocessor log in a single replay. Every L1 design point gets one
+// exact private replica per processor; the interleaved miss stream those
+// replicas emit — in the recorded global order — drives the shared-L2
+// profilers (per-set Mattson stacks for LRU, multiplexed replicas for
+// FIFO), so one parallel execution answers every (L1, L2) pairing. The
+// replay honours the log's measured window. Experiment E21
+// cross-validates every grid point against SimulateSharedLog, whose L2 is
+// an independent implementation (a policy-ordered Bank rather than the
+// reuse-distance profilers). The jobs convention is ProfileHierJobs'; the
+// worker cap is the grid's unit count, (L1 points) × (L2 families). The
+// decodeJobs parameter is deprecated: ignored; decoding is one in-order
+// pass.
 func ProfileSharedJobs(pl *trace.ProcLog, spec SharedSpec, jobs, decodeJobs int) (*SharedCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -305,9 +286,6 @@ func ProfileSharedJobs(pl *trace.ProcLog, spec SharedSpec, jobs, decodeJobs int)
 	workers := trace.ProfileWorkers(jobs)
 	if u := int64(len(spec.L1s)) * int64(len(fams)); int64(workers) > u {
 		workers = int(u)
-	}
-	if workers <= 1 && trace.ProfileWorkers(decodeJobs) <= 1 {
-		return ProfileShared(pl, spec)
 	}
 	pool := make([]*sharedShardWorker, workers)
 	for w := range pool {
@@ -349,7 +327,7 @@ func ProfileSharedJobs(pl *trace.ProcLog, spec SharedSpec, jobs, decodeJobs int)
 	for w := range consumers {
 		consumers[w] = pool[w]
 	}
-	if err := pl.FanOut(consumers, decodeJobs); err != nil {
+	if err := pl.FanOut(consumers); err != nil {
 		return nil, err
 	}
 

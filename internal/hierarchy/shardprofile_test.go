@@ -10,23 +10,17 @@ import (
 	"streamsched/internal/trace"
 )
 
-// profileJobsCombos is the (jobs, decodejobs) grid the hierarchy
-// equivalence suites sweep: both knobs at 1 (pure sequential), each knob
-// parallel with the other sequential, and both parallel including
-// worker counts past NumCPU.
-func profileJobsCombos() [][2]int {
-	cpus := runtime.NumCPU()
-	return [][2]int{
-		{1, 1}, {1, 2}, {2, cpus}, {3, 16},
-		{cpus, 1}, {cpus, cpus}, {16, 2}, {16, 16},
-	}
+// profileJobsList is the worker counts the hierarchy equivalence suites
+// compare against one worker: the smallest genuinely-sharded pool, an
+// odd count, NumCPU, and counts past every test grid's unit cap.
+func profileJobsList() []int {
+	return []int{2, 3, runtime.NumCPU(), 0, 1024}
 }
 
-// TestProfileHierJobsMatchesSequential is the sharded hierarchy
-// profiler's core property: byte-identical HierCurves against the
-// sequential path across the mixed-policy test grid, (worker, decode
-// worker) counts, and spilled vs in-memory traces, with the trace still
-// decoded once per pass.
+// TestProfileHierJobsMatchesSequential is the hierarchy profiler's core
+// sharding property: byte-identical HierCurves against the one-worker
+// pass across the mixed-policy test grid, worker counts, and spilled vs
+// in-memory traces, with the trace still decoded once per pass.
 func TestProfileHierJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	spec := testSpec()
@@ -50,22 +44,21 @@ func TestProfileHierJobsMatchesSequential(t *testing.T) {
 			if spill && !l.Spilled() {
 				t.Fatal("spill variant did not spill")
 			}
-			want, err := ProfileHier(l, spec)
+			want, err := ProfileHierJobs(l, spec, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, combo := range profileJobsCombos() {
-				jobs, djobs := combo[0], combo[1]
+			for _, jobs := range profileJobsList() {
 				before := l.Replays()
-				got, err := ProfileHierJobs(l, spec, jobs, djobs)
+				got, err := ProfileHierJobs(l, spec, jobs, 1)
 				if err != nil {
-					t.Fatalf("jobs=%d decodejobs=%d: %v", jobs, djobs, err)
+					t.Fatalf("jobs=%d: %v", jobs, err)
 				}
 				if l.Replays() != before+1 {
-					t.Fatalf("jobs=%d decodejobs=%d: %d replays for one pass", jobs, djobs, l.Replays()-before)
+					t.Fatalf("jobs=%d: %d replays for one pass", jobs, l.Replays()-before)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d spill=%v jobs=%d decodejobs=%d: sharded hier curves differ from sequential", trial, spill, jobs, djobs)
+					t.Fatalf("trial %d spill=%v jobs=%d: sharded hier curves differ from one worker", trial, spill, jobs)
 				}
 			}
 			if err := l.Close(); err != nil {
@@ -82,27 +75,23 @@ func TestProfileHierJobsEmptyWindow(t *testing.T) {
 	blocks := stream(rng, 2000, 100)
 	l := recordLog(blocks, 2000) // window at Len: nothing measured
 	spec := testSpec()
-	want, err := ProfileHier(l, spec)
+	want, err := ProfileHierJobs(l, spec, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, djobs := range []int{1, 4} {
-		got, err := ProfileHierJobs(l, spec, 4, djobs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("decodejobs=%d: sharded hier curves differ on empty window", djobs)
-		}
+	got, err := ProfileHierJobs(l, spec, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("sharded hier curves differ on empty window")
 	}
 }
 
 // TestProfileSharedJobsMatchesSequential: byte-identical SharedCurves —
-// per-processor L1 misses, aggregate L2 misses, access tallies — across
-// processor counts, (worker, decode worker) counts, and spilled traces.
-// The parallel decoder tags processors chunk-locally from the
-// interleaving's run-length offsets, so procs > 1 with decodejobs > 1 is
-// the procCursor's equivalence coverage.
+// per-processor L1 misses, aggregate L2 misses, access tallies — against
+// the one-worker pass across processor counts, worker counts, and
+// spilled traces.
 func TestProfileSharedJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, procs := range []int{1, 2, 4} {
@@ -129,22 +118,21 @@ func TestProfileSharedJobsMatchesSequential(t *testing.T) {
 					lv(64*64, 64, 2, cachesim.FIFO),
 				},
 			}
-			want, err := ProfileShared(pl, spec)
+			want, err := ProfileSharedJobs(pl, spec, 1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, combo := range profileJobsCombos() {
-				jobs, djobs := combo[0], combo[1]
+			for _, jobs := range profileJobsList() {
 				before := pl.Replays()
-				got, err := ProfileSharedJobs(pl, spec, jobs, djobs)
+				got, err := ProfileSharedJobs(pl, spec, jobs, 1)
 				if err != nil {
-					t.Fatalf("procs=%d jobs=%d decodejobs=%d: %v", procs, jobs, djobs, err)
+					t.Fatalf("procs=%d jobs=%d: %v", procs, jobs, err)
 				}
 				if pl.Replays() != before+1 {
-					t.Fatalf("jobs=%d decodejobs=%d: %d replays for one pass", jobs, djobs, pl.Replays()-before)
+					t.Fatalf("jobs=%d: %d replays for one pass", jobs, pl.Replays()-before)
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("procs=%d spill=%d jobs=%d decodejobs=%d: sharded shared curves differ from sequential", procs, spill, jobs, djobs)
+					t.Fatalf("procs=%d spill=%d jobs=%d: sharded shared curves differ from one worker", procs, spill, jobs)
 				}
 			}
 			if err := pl.Close(); err != nil {

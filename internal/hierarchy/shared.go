@@ -13,7 +13,7 @@ import (
 // processor's L1 and the shared L2; victims are dropped), the one mode
 // whose L2 reference stream is a deterministic function of the interleaved
 // trace and the L1 organisation alone — which is what makes the one-pass
-// ProfileShared path exact.
+// ProfileSharedJobs path exact.
 type SharedConfig struct {
 	// Procs is the number of logical processors (>= 1), each with a
 	// private L1.
@@ -173,7 +173,7 @@ func (s *SharedSim) AMAT(cm CostModel) float64 {
 // fresh SharedSim, honouring the log's measured window (accesses before
 // the window warm every level but are not counted), and returns the
 // simulator with its windowed counters. The trace's processor count must
-// match cfg.Procs. This is the pointwise oracle ProfileShared's one-pass
+// match cfg.Procs. This is the pointwise oracle ProfileSharedJobs' one-pass
 // grid is validated against (experiment E21).
 func SimulateSharedLog(pl *trace.ProcLog, cfg SharedConfig) (*SharedSim, error) {
 	if pl.Procs() != cfg.Procs {

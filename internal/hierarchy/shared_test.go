@@ -198,8 +198,8 @@ func TestSharedSimOneSetL2(t *testing.T) {
 }
 
 // TestProfileSharedMatchesSimulator is the package-level cross-validation:
-// every (L1, L2) grid point of the one-pass shared profiler agrees exactly
-// with the shared simulator — per-processor L1 misses and aggregate L2
+// every (L1, L2) grid point of the one-pass shared profiler, at one and
+// two workers, agrees exactly with the shared simulator — per-processor L1 misses and aggregate L2
 // misses — on random interleaved traces, windows included.
 func TestProfileSharedMatchesSimulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -219,40 +219,42 @@ func TestProfileSharedMatchesSimulator(t *testing.T) {
 				lv(64*64, 64, 2, cachesim.FIFO),
 			},
 		}
-		curves, err := ProfileShared(pl, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wantAcc int64
-		for p := 0; p < procs; p++ {
-			wantAcc += curves.ProcAccesses[p]
-		}
-		if curves.Accesses != wantAcc {
-			t.Errorf("procs=%d: accesses %d != per-proc sum %d", procs, curves.Accesses, wantAcc)
-		}
-		for i := range spec.L1s {
-			for j := range spec.L2s {
-				sim, err := SimulateSharedLog(pl, spec.Config(i, j))
-				if err != nil {
-					t.Fatal(err)
-				}
-				for p := 0; p < procs; p++ {
-					if got, want := curves.L1Misses[i][p], sim.L1Stats(p).Misses; got != want {
-						t.Errorf("procs=%d point (%d,%d) proc %d: profile L1 misses %d, simulator %d",
-							procs, i, j, p, got, want)
+		for _, jobs := range []int{1, 2} {
+			curves, err := ProfileSharedJobs(pl, spec, jobs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wantAcc int64
+			for p := 0; p < procs; p++ {
+				wantAcc += curves.ProcAccesses[p]
+			}
+			if curves.Accesses != wantAcc {
+				t.Errorf("procs=%d jobs=%d: accesses %d != per-proc sum %d", procs, jobs, curves.Accesses, wantAcc)
+			}
+			for i := range spec.L1s {
+				for j := range spec.L2s {
+					sim, err := SimulateSharedLog(pl, spec.Config(i, j))
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				l1, l2 := curves.Point(i, j)
-				var simL1 int64
-				for p := 0; p < procs; p++ {
-					simL1 += sim.L1Stats(p).Misses
-				}
-				if l1 != simL1 || l2 != sim.L2Stats().Misses {
-					t.Errorf("procs=%d point (%d,%d): profile (%d,%d), simulator (%d,%d)",
-						procs, i, j, l1, l2, simL1, sim.L2Stats().Misses)
-				}
-				if got, want := curves.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
-					t.Errorf("procs=%d point (%d,%d): profile AMAT %v, simulator %v", procs, i, j, got, want)
+					for p := 0; p < procs; p++ {
+						if got, want := curves.L1Misses[i][p], sim.L1Stats(p).Misses; got != want {
+							t.Errorf("procs=%d jobs=%d point (%d,%d) proc %d: profile L1 misses %d, simulator %d",
+								procs, jobs, i, j, p, got, want)
+						}
+					}
+					l1, l2 := curves.Point(i, j)
+					var simL1 int64
+					for p := 0; p < procs; p++ {
+						simL1 += sim.L1Stats(p).Misses
+					}
+					if l1 != simL1 || l2 != sim.L2Stats().Misses {
+						t.Errorf("procs=%d jobs=%d point (%d,%d): profile (%d,%d), simulator (%d,%d)",
+							procs, jobs, i, j, l1, l2, simL1, sim.L2Stats().Misses)
+					}
+					if got, want := curves.AMAT(i, j, DefaultCostModel), sim.AMAT(DefaultCostModel); got != want {
+						t.Errorf("procs=%d jobs=%d point (%d,%d): profile AMAT %v, simulator %v", procs, jobs, i, j, got, want)
+					}
 				}
 			}
 		}
@@ -260,8 +262,8 @@ func TestProfileSharedMatchesSimulator(t *testing.T) {
 }
 
 // TestProfileSharedSpilled: a spilled interleaved trace profiles
-// identically to an in-memory one, and the whole grid costs exactly one
-// replay.
+// identically to an in-memory one at one and two workers, and the whole
+// grid costs exactly one replay.
 func TestProfileSharedSpilled(t *testing.T) {
 	mk := func(spill int64) *trace.ProcLog {
 		rng := rand.New(rand.NewSource(15))
@@ -279,18 +281,33 @@ func TestProfileSharedSpilled(t *testing.T) {
 		t.Fatalf("trace did not spill (%d bytes)", spilled.EncodedBytes())
 	}
 	defer spilled.Close()
-	a, err := ProfileShared(mem, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ProfileShared(spilled, spec)
-	if err != nil {
-		t.Fatal(err)
+	for _, jobs := range []int{1, 2} {
+		before := spilled.Replays()
+		a, err := ProfileSharedJobs(mem, spec, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ProfileSharedJobs(spilled, spec, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := spilled.Replays() - before; n != 1 {
+			t.Errorf("jobs=%d: ProfileSharedJobs paid %d replays, want 1", jobs, n)
+		}
+		for i := range spec.L1s {
+			for p := 0; p < spec.Procs; p++ {
+				if a.L1Misses[i][p] != b.L1Misses[i][p] {
+					t.Errorf("jobs=%d L1 point %d proc %d: mem %d, spilled %d", jobs, i, p, a.L1Misses[i][p], b.L1Misses[i][p])
+				}
+			}
+			for j := range spec.L2s {
+				if a.L2Misses[i][j] != b.L2Misses[i][j] {
+					t.Errorf("jobs=%d point (%d,%d): mem %d, spilled %d", jobs, i, j, a.L2Misses[i][j], b.L2Misses[i][j])
+				}
+			}
+		}
 	}
 	st, stMem := spilled.Stats(), mem.Stats()
-	if st.Replays != 1 {
-		t.Errorf("ProfileShared paid %d replays, want 1", st.Replays)
-	}
 	if st.Accesses != stMem.Accesses || st.Accesses != spilled.Len() || st.Accesses == 0 {
 		t.Errorf("stats count %d accesses, in-memory twin recorded %d", st.Accesses, stMem.Accesses)
 	}
@@ -303,18 +320,6 @@ func TestProfileSharedSpilled(t *testing.T) {
 	if st.Chunks != stMem.Chunks || st.Chunks == 0 {
 		t.Errorf("chunk counts diverge: spilled sealed %d, in-memory %d", st.Chunks, stMem.Chunks)
 	}
-	for i := range spec.L1s {
-		for p := 0; p < spec.Procs; p++ {
-			if a.L1Misses[i][p] != b.L1Misses[i][p] {
-				t.Errorf("L1 point %d proc %d: mem %d, spilled %d", i, p, a.L1Misses[i][p], b.L1Misses[i][p])
-			}
-		}
-		for j := range spec.L2s {
-			if a.L2Misses[i][j] != b.L2Misses[i][j] {
-				t.Errorf("point (%d,%d): mem %d, spilled %d", i, j, a.L2Misses[i][j], b.L2Misses[i][j])
-			}
-		}
-	}
 }
 
 // TestProfileSharedRejectsMismatch: spec/trace processor-count mismatches
@@ -324,12 +329,12 @@ func TestProfileSharedRejectsMismatch(t *testing.T) {
 	pl := procTrace(t, rng, 2, 500, 32, 0)
 	ok := SharedSpec{Block: 16, Procs: 2,
 		L1s: []Level{lv(128, 16, 0, cachesim.LRU)}, L2s: []Level{lv(1024, 16, 0, cachesim.LRU)}}
-	if _, err := ProfileShared(pl, ok); err != nil {
+	if _, err := ProfileSharedJobs(pl, ok, 1, 1); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	bad := ok
 	bad.Procs = 3
-	if _, err := ProfileShared(pl, bad); err == nil {
+	if _, err := ProfileSharedJobs(pl, bad, 1, 1); err == nil {
 		t.Error("processor-count mismatch accepted")
 	}
 	if _, err := SimulateSharedLog(pl, SharedConfig{Procs: 3, L1: lv(128, 16, 0, cachesim.LRU), L2: lv(1024, 16, 0, cachesim.LRU)}); err == nil {
@@ -337,7 +342,7 @@ func TestProfileSharedRejectsMismatch(t *testing.T) {
 	}
 	empty := ok
 	empty.L2s = nil
-	if _, err := ProfileShared(pl, empty); err == nil {
+	if _, err := ProfileSharedJobs(pl, empty, 1, 1); err == nil {
 		t.Error("empty L2 grid accepted")
 	}
 }

@@ -1,11 +1,6 @@
 package hierarchy
 
-import (
-	"fmt"
-
-	"streamsched/internal/cachesim"
-	"streamsched/internal/trace"
-)
+import "fmt"
 
 // SharedSpec is an (L1, L2) evaluation grid over one recorded
 // multiprocessor trace: every pairing of a private-L1 design point with a
@@ -104,148 +99,4 @@ func (c *SharedCurves) Point(i, j int) (l1, l2 int64) {
 // SimulateSharedLog (or parallel.RunShared) for those.
 func (c *SharedCurves) AMAT(i, j int, cm CostModel) float64 {
 	return cm.AMAT(c.Accesses, c.L1Total(i), c.L2Misses[i][j])
-}
-
-// sharedFilter is one L1 design point's bank of exact private replicas —
-// one cachesim.Bank per processor — plus the shared-L2 profiler groups fed
-// by the interleaved miss stream.
-type sharedFilter struct {
-	banks  []*cachesim.Bank
-	misses []int64 // in-window misses per processor
-	groups []*l2Group
-	slots  []l2Slot
-}
-
-// touch runs one tagged trace access through processor proc's private
-// replica; on a miss the filtered block feeds every shared-L2 group at its
-// own granularity, in global emission order.
-func (f *sharedFilter) touch(proc int, blk int64) {
-	b := f.banks[proc]
-	if b.Access(blk) {
-		return
-	}
-	b.Insert(blk)
-	f.misses[proc]++
-	for _, g := range f.groups {
-		b2 := coarsen(blk, g.ratio)
-		if g.assoc != nil {
-			g.assoc.Touch(b2)
-		}
-		if g.fifo != nil {
-			g.fifo.Touch(b2)
-		}
-	}
-}
-
-// resetCounts starts the measured window: miss counters and L2 histograms
-// reset, warm cache and stack state kept.
-func (f *sharedFilter) resetCounts() {
-	for p := range f.misses {
-		f.misses[p] = 0
-	}
-	for _, g := range f.groups {
-		if g.assoc != nil {
-			g.assoc.ResetCounts()
-		}
-		if g.fifo != nil {
-			g.fifo.ResetCounts()
-		}
-	}
-}
-
-// buildSharedFilters assembles one sharedFilter per L1 design point, with
-// procs private replicas each, grouping the L2 points into (block ratio,
-// set count) families exactly like the uniprocessor hierarchy profiler.
-func buildSharedFilters(block int64, l1s, l2s []Level, procs int) []*sharedFilter {
-	fams, slots := l2Families(block, l2s)
-	filters := make([]*sharedFilter, len(l1s))
-	for i, l1 := range l1s {
-		f := &sharedFilter{
-			banks:  make([]*cachesim.Bank, procs),
-			misses: make([]int64, procs),
-			slots:  slots,
-			groups: newL2Groups(fams),
-		}
-		for p := range f.banks {
-			f.banks[p] = l1.bank()
-		}
-		filters[i] = f
-	}
-	return filters
-}
-
-// ProfileShared evaluates the whole (L1, L2) grid from one recorded
-// multiprocessor log in a single replay. Every L1 design point gets one
-// exact private replica per processor; the interleaved miss stream those
-// replicas emit — in the recorded global order — drives the shared-L2
-// profilers (per-set Mattson stacks for LRU, multiplexed replicas for
-// FIFO), so one parallel execution answers every (L1, L2) pairing. The
-// replay honours the log's measured window. Experiment E21 cross-validates
-// every grid point against SimulateSharedLog, whose L2 is an independent
-// implementation (a policy-ordered Bank rather than the reuse-distance
-// profilers).
-func ProfileShared(pl *trace.ProcLog, spec SharedSpec) (*SharedCurves, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if pl.Procs() != spec.Procs {
-		return nil, fmt.Errorf("hierarchy: trace has %d processors, spec wants %d", pl.Procs(), spec.Procs)
-	}
-
-	reg := pl.Metrics()
-	stop := reg.Timer("hier.shared.profile").Start()
-	filters := buildSharedFilters(spec.Block, spec.L1s, spec.L2s, spec.Procs)
-	var accesses int64
-	procAccesses := make([]int64, spec.Procs)
-	err := pl.ForEachWindowed(func() {
-		accesses = 0
-		for p := range procAccesses {
-			procAccesses[p] = 0
-		}
-		for _, f := range filters {
-			f.resetCounts()
-		}
-	}, func(proc int, blk int64) {
-		accesses++
-		procAccesses[proc]++
-		for _, f := range filters {
-			f.touch(proc, blk)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &SharedCurves{
-		Spec:         spec,
-		Accesses:     accesses,
-		ProcAccesses: procAccesses,
-		L1Misses:     make([][]int64, len(spec.L1s)),
-		L2Misses:     make([][]int64, len(spec.L1s)),
-	}
-	for i, f := range filters {
-		out.L1Misses[i] = f.misses
-		out.L2Misses[i], err = l2MissRow(f.groups, f.slots)
-		if err != nil {
-			return nil, err
-		}
-	}
-	stop()
-	if reg != nil {
-		reg.Counter("trace.profile.accesses").Add(accesses)
-		reg.Counter("trace.profile.passes").Add(1)
-		var filterMisses, l2Ops int64
-		for i := range filters {
-			filterMisses += out.L1Total(i)
-			for _, g := range filters[i].groups {
-				if g.assoc != nil {
-					l2Ops += g.assoc.TimelineOps()
-				}
-			}
-		}
-		reg.Counter("hier.filter.misses").Add(filterMisses)
-		reg.Counter("trace.profile.fenwick.ops").Add(l2Ops)
-		reg.Counter("hier.profile.points").Add(int64(len(spec.L1s) * len(spec.L2s)))
-	}
-	return out, nil
 }

@@ -120,7 +120,7 @@ func (s *Sim) AMAT(cm CostModel) float64 {
 // log's measured window (accesses before WindowStart warm both levels but
 // are not counted), and returns the simulator with its windowed counters.
 // This is pointwise two-level simulation — one full replay per (L1, L2)
-// point — and the oracle ProfileHier's one-pass curves are validated
+// point — and the oracle ProfileHierJobs' one-pass curves are validated
 // against.
 func SimulateLog(l *trace.Log, cfg Config) (*Sim, error) {
 	sim, err := NewSim(cfg)

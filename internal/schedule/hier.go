@@ -43,7 +43,7 @@ func (r *HierResult) MissesPerItem(i, j int) (l1, l2 float64) {
 // MeasureHier plans g with s, executes warm source firings, records the
 // block-access trace of the next measured firings at spec.Block
 // granularity, and profiles the whole (L1, L2) grid from that single
-// execution (hierarchy.ProfileHier): L1 curves via the organisation
+// execution (hierarchy.ProfileHierJobs): L1 curves via the organisation
 // profiler, exact L2 curves from each L1 design point's filtered miss
 // stream. Each grid point matches what MeasureHierPoint reports for the
 // corresponding two-level configuration.
@@ -94,7 +94,7 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 	}
 	stage.End()
 	stage = sp.Start("profile")
-	curves, err := hierarchy.ProfileHierJobs(log, spec, env.ProfileJobs, env.DecodeJobs)
+	curves, err := hierarchy.ProfileHierJobs(log, spec, env.ProfileJobs, 1)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)

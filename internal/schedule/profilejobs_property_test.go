@@ -1,9 +1,9 @@
 package schedule
 
 // Property tests for the sharded profiling engine at the measurement API:
-// Env.ProfileJobs and Env.DecodeJobs are purely speed knobs, so
-// MeasureCurveOrgs and MeasureHier must return byte-identical results for
-// any (worker, decode worker) counts on any graph. These run the full
+// Env.ProfileJobs is purely a speed knob, so MeasureCurveOrgs and
+// MeasureHier must return byte-identical results for any worker count on
+// any graph. These run the full
 // record→profile path end to end (random pipelines and dags,
 // set-associative + FIFO organisations, a two-level grid), complementing
 // the trace/hierarchy-level equivalence tests that replay one shared log
@@ -22,26 +22,24 @@ import (
 	"streamsched/internal/trace"
 )
 
-// profileJobsVariants is the (jobs, decodejobs) sweep: the sequential
-// reference, the smallest genuinely-sharded pool with the smallest
-// parallel decode, whatever this machine's CPU count resolves to (the
-// zero value's meaning for both knobs), and a decode width past the chunk
-// count so the chunk cap engages.
-func profileJobsVariants() [][2]int {
-	return [][2]int{{1, 1}, {2, 2}, {runtime.NumCPU(), runtime.NumCPU()}, {2, 16}}
+// profileJobsVariants is the worker-count sweep: the one-worker
+// reference, the smallest genuinely-sharded pool, whatever this machine's
+// CPU count resolves to (the zero value's meaning), and a count past
+// every test grid's unit cap so the cap engages.
+func profileJobsVariants() []int {
+	return []int{1, 2, runtime.NumCPU(), 1024}
 }
 
 // orgsAtJobs measures g once per worker count and returns the CurveResult
 // fields that profiling determines (the curve and organisation profiles).
 // Schedulers are deterministic, so the recorded traces are identical runs
 // and any divergence is the sharded engine's fault.
-func orgsAtJobs(t *testing.T, g *sdf.Graph, s Scheduler, env Env, specs []trace.OrgSpec, warm, meas int64, jobs, djobs int) (*trace.MissCurve, []*trace.OrgCurves) {
+func orgsAtJobs(t *testing.T, g *sdf.Graph, s Scheduler, env Env, specs []trace.OrgSpec, warm, meas int64, jobs int) (*trace.MissCurve, []*trace.OrgCurves) {
 	t.Helper()
 	env.ProfileJobs = jobs
-	env.DecodeJobs = djobs
 	cr, err := MeasureCurveOrgs(g, s, env, env.B, warm, meas, specs)
 	if err != nil {
-		t.Fatalf("%s MeasureCurveOrgs(jobs=%d,decodejobs=%d): %v", s.Name(), jobs, djobs, err)
+		t.Fatalf("%s MeasureCurveOrgs(jobs=%d): %v", s.Name(), jobs, err)
 	}
 	return cr.Curve, cr.Orgs
 }
@@ -77,14 +75,14 @@ func TestPropProfileJobsOrgsInvariantOnRandomGraphs(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, s := range scheds {
-			refCurve, refOrgs := orgsAtJobs(t, g, s, env, specs, 96, 384, 1, 1)
-			for _, v := range profileJobsVariants()[1:] {
-				curve, orgs := orgsAtJobs(t, g, s, env, specs, 96, 384, v[0], v[1])
+			refCurve, refOrgs := orgsAtJobs(t, g, s, env, specs, 96, 384, 1)
+			for _, jobs := range profileJobsVariants()[1:] {
+				curve, orgs := orgsAtJobs(t, g, s, env, specs, 96, 384, jobs)
 				if !reflect.DeepEqual(curve, refCurve) {
-					t.Errorf("seed %d %s: jobs=%d decodejobs=%d miss curve differs from sequential", seed, s.Name(), v[0], v[1])
+					t.Errorf("seed %d %s: jobs=%d miss curve differs from one worker", seed, s.Name(), jobs)
 				}
 				if !reflect.DeepEqual(orgs, refOrgs) {
-					t.Errorf("seed %d %s: jobs=%d decodejobs=%d organisation curves differ from sequential", seed, s.Name(), v[0], v[1])
+					t.Errorf("seed %d %s: jobs=%d organisation curves differ from one worker", seed, s.Name(), jobs)
 				}
 			}
 		}
@@ -128,20 +126,19 @@ func TestPropProfileJobsHierInvariantOnRandomGraphs(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, s := range []Scheduler{FlatTopo{}, Scaled{S: 3}} {
-			measure := func(jobs, djobs int) *hierarchy.HierCurves {
+			measure := func(jobs int) *hierarchy.HierCurves {
 				e := env
 				e.ProfileJobs = jobs
-				e.DecodeJobs = djobs
 				hr, err := MeasureHier(g, s, e, spec, 96, 384)
 				if err != nil {
-					t.Fatalf("%s MeasureHier(jobs=%d,decodejobs=%d): %v", s.Name(), jobs, djobs, err)
+					t.Fatalf("%s MeasureHier(jobs=%d): %v", s.Name(), jobs, err)
 				}
 				return hr.Curves
 			}
-			ref := measure(1, 1)
-			for _, v := range profileJobsVariants()[1:] {
-				if got := measure(v[0], v[1]); !reflect.DeepEqual(got, ref) {
-					t.Errorf("seed %d %s: jobs=%d decodejobs=%d hierarchy curves differ from sequential", seed, s.Name(), v[0], v[1])
+			ref := measure(1)
+			for _, jobs := range profileJobsVariants()[1:] {
+				if got := measure(jobs); !reflect.DeepEqual(got, ref) {
+					t.Errorf("seed %d %s: jobs=%d hierarchy curves differ from one worker", seed, s.Name(), jobs)
 				}
 			}
 		}

@@ -39,16 +39,11 @@ type Env struct {
 	Metrics *obs.Registry
 	// ProfileJobs is the worker count the trace-profiling stages shard
 	// across (trace.ProfileOrgsJobs and the hierarchy equivalents): 0 —
-	// the zero value — uses one worker per CPU, 1 forces the sequential
-	// path, larger values pin the count. The sharded and sequential paths
-	// produce byte-identical curves, so this is purely a speed knob.
+	// the zero value — uses one worker per CPU, 1 replays inline on the
+	// calling goroutine, larger values pin the count. Curves are
+	// byte-identical at every count, so this is purely a speed knob.
 	ProfileJobs int
-	// DecodeJobs is the parallel chunk-decode width of the same profiling
-	// stages (trace.Log.FanOut's decode workers), with the same
-	// convention: 0 uses one worker per CPU, 1 forces the sequential
-	// in-order decoder, larger values pin the count (capped at the
-	// trace's chunk count). Also purely a speed knob — the reorder stage
-	// keeps results byte-identical.
+	// Deprecated: ignored; decoding is one in-order pass.
 	DecodeJobs int
 }
 

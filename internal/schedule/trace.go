@@ -115,11 +115,11 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	}
 	stage.End()
 	// The fully-associative curve is the Sets=1 organisation; profiling it
-	// through ProfileOrgs folds every requested organisation into a single
-	// replay of the log.
+	// through ProfileOrgsJobs folds every requested organisation into a
+	// single replay of the log.
 	stage = sp.Start("profile")
 	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
-	profiles, err := trace.ProfileOrgsJobs(log, specs, env.ProfileJobs, env.DecodeJobs)
+	profiles, err := trace.ProfileOrgsJobs(log, specs, env.ProfileJobs, 1)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)

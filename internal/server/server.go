@@ -74,19 +74,16 @@ type Config struct {
 	Engine string
 	// CacheBytes is the result cache's byte budget. 0 disables caching.
 	CacheBytes int64
-	// Jobs bounds concurrent computations (the worker pool). 0 means
-	// one per CPU; negative is rejected by New.
+	// Jobs bounds concurrent computations (the worker pool). 0 or
+	// negative means one per CPU; streamschedd rejects a negative flag.
 	Jobs int
 	// ProfileJobs is schedule.Env.ProfileJobs for each computation: how
 	// many workers the profiling engine shards one request across.
-	// Default 1 (sequential) — under concurrent load the request-level
-	// pool is the better parallelism axis; raise it for big single
-	// profiles on an idle daemon.
+	// Default 1 (one worker, inline) — under concurrent load the
+	// request-level pool is the better parallelism axis; raise it for big
+	// single profiles on an idle daemon. Negative means one per CPU.
 	ProfileJobs int
-	// DecodeJobs is schedule.Env.DecodeJobs for each computation: the
-	// parallel chunk-decode width of the profiling pipeline. Default 1
-	// (sequential decode) for the same reason as ProfileJobs; raise both
-	// together for big single profiles on an idle daemon.
+	// Deprecated: ignored; decoding is one in-order pass.
 	DecodeJobs int
 	// Timeout bounds how long a client waits for a computation (the
 	// computation itself runs to completion and fills the cache).
@@ -153,9 +150,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.ProfileJobs == 0 {
 		cfg.ProfileJobs = 1
-	}
-	if cfg.DecodeJobs == 0 {
-		cfg.DecodeJobs = 1
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
@@ -439,7 +433,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs, DecodeJobs: s.cfg.DecodeJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs}
 	plan, err := sched.Prepare(g, env)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", sched.Name(), err)
@@ -472,7 +466,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs, DecodeJobs: s.cfg.DecodeJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", sched.Name(), err)
@@ -533,7 +527,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache_budget":  s.cache.Budget(),
 		"jobs":          s.cfg.Jobs,
 		"profile_jobs":  s.cfg.ProfileJobs,
-		"decode_jobs":   s.cfg.DecodeJobs,
 		"cache_hits":    snap.Counters["cache.hits"],
 		"cache_misses":  snap.Counters["cache.misses"],
 		"evictions":     snap.Counters["cache.evictions"],

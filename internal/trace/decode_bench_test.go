@@ -7,8 +7,7 @@ import (
 )
 
 // benchChunk seals one full 64KB chunk of streaming-shaped deltas and
-// returns its bytes and metadata — the unit of work one decode worker
-// claims.
+// returns its bytes and metadata — the unit ForEach decodes at a time.
 func benchChunk(b *testing.B) ([]byte, chunkMeta) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -31,7 +30,7 @@ func benchChunk(b *testing.B) ([]byte, chunkMeta) {
 }
 
 // BenchmarkDecodeChunk compares the batched whole-chunk varint fast path
-// (what both ForEach and the parallel FanOut workers run) against the
+// (what ForEach, and so every FanOut, runs) against the
 // per-access binary.Varint loop it replaced. The batched path's win is
 // the point of the shared decode primitive; a regression here slows every
 // replay in the system.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -9,8 +10,9 @@ import (
 	"testing"
 )
 
-// TestChunkStandaloneRoundTrip is the delta-reset invariant the parallel
-// decoder depends on: every sealed chunk (and the open tail) must decode
+// TestChunkStandaloneRoundTrip is the delta-reset invariant chunk-granular
+// reads and chunk-indexed errors depend on: every sealed chunk (and the
+// open tail) must decode
 // standalone from its recorded base and global start index to exactly the
 // slice of the full stream it covers — randomised logs, spilled and
 // in-memory.
@@ -112,11 +114,18 @@ func TestCorruptChunkInMemory(t *testing.T) {
 	if l.Err() != nil {
 		t.Errorf("in-memory corruption latched the log: %v", l.Err())
 	}
-	// FanOut's parallel decoder must surface the same failure.
-	if err := l.FanOut([]WindowedConsumer{&recordingConsumer{}}, 4); err == nil {
-		t.Error("parallel FanOut decoded the corrupt chunk without error")
-	} else if !strings.Contains(err.Error(), "chunk 1") {
-		t.Errorf("parallel FanOut error %q does not name chunk 1", err)
+	// FanOut must surface the same failure inline (one consumer) and
+	// through the decoder goroutine (several), draining cleanly.
+	for _, n := range []int{1, 2} {
+		cons := make([]WindowedConsumer, n)
+		for i := range cons {
+			cons[i] = &recordingConsumer{}
+		}
+		if err := l.FanOut(cons); err == nil {
+			t.Errorf("FanOut with %d consumers decoded the corrupt chunk without error", n)
+		} else if !strings.Contains(err.Error(), "chunk 1") {
+			t.Errorf("FanOut with %d consumers: error %q does not name chunk 1", n, err)
+		}
 	}
 }
 
@@ -159,29 +168,74 @@ func TestCorruptChunkSpilled(t *testing.T) {
 	}
 }
 
-// TestCorruptChunkSpilledParallel runs the corruption through the
-// parallel FanOut front end: the reorder stage must drain cleanly (no
-// deadlock, no goroutine leak under -race) and report the chunk error.
-func TestCorruptChunkSpilledParallel(t *testing.T) {
-	l := corruptibleLog(t, 4, 1)
-	if err := l.flushSpill(); err != nil {
-		t.Fatal(err)
+// TestVarintOverflowRejected is the 10-byte overflow regression: a final
+// byte above 1 sets bits past 63, which binary.Varint rejects, so the
+// batched decoder must too instead of wrapping to a wrong block id.
+func TestVarintOverflowRejected(t *testing.T) {
+	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}
+	if _, n := binary.Varint(overflow); n >= 0 {
+		t.Fatalf("binary.Varint accepted the overflow (n=%d); the case is vacuous", n)
 	}
-	if l.onDisk < 4 {
-		t.Fatalf("want >= 4 spilled chunks, have %d", l.onDisk)
+	for _, last := range []byte{0x02, 0x7f} {
+		buf := append(append([]byte{}, overflow[:9]...), last)
+		out, rest, _, err := appendVarintDeltas(make([]int64, 0, 4), buf, 0)
+		if !errors.Is(err, errCorruptVarint) {
+			t.Fatalf("last byte %#x: decoded %v with err %v, want errCorruptVarint", last, out, err)
+		}
+		if len(rest) != len(buf) {
+			t.Errorf("last byte %#x: rest has %d bytes, want the varint's first byte (%d)", last, len(rest), len(buf))
+		}
 	}
-	if _, err := l.spill.WriteAt(bytes.Repeat([]byte{0xff}, 16), l.metas[1].off+11); err != nil {
-		t.Fatal(err)
+	// A final byte of 1 is the largest legal 10-byte varint.
+	max := []byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
+	want, _ := binary.Varint(max)
+	out, _, _, err := appendVarintDeltas(make([]int64, 0, 1), max, 0)
+	if err != nil || len(out) != 1 || out[0] != want {
+		t.Fatalf("legal 10-byte varint: got %v, %v; want [%d]", out, err, want)
 	}
-	cons := []WindowedConsumer{&recordingConsumer{}, &recordingConsumer{}}
-	err := l.FanOut(cons, 4)
-	if err == nil {
-		t.Fatal("parallel FanOut decoded the corrupt spill without error")
-	}
-	if !strings.Contains(err.Error(), "chunk 1") {
-		t.Errorf("error %q does not name chunk 1", err)
-	}
-	if l.Err() == nil {
-		t.Error("spilled corruption did not latch via the parallel path")
-	}
+}
+
+// FuzzAppendVarintDeltas is differential against encoding/binary: on input
+// binary.Varint decodes end to end the batched decoder must produce the
+// same running block ids; on input it rejects, the batched decoder must
+// return errCorruptVarint (never panic) after decoding the same valid
+// prefix.
+func FuzzAppendVarintDeltas(f *testing.F) {
+	f.Add([]byte{0x02}, int64(0))                                                             // 1 byte
+	f.Add([]byte{0x81, 0x01, 0x03, 0x7f}, int64(5))                                           // mixed widths
+	f.Add([]byte{0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(-1))      // 10 bytes
+	f.Add([]byte{0x04, 0x80, 0x80}, int64(0))                                                 // truncated
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, int64(0))       // overflow
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, int64(0)) // 11 bytes
+	f.Fuzz(func(t *testing.T, buf []byte, base int64) {
+		var want []int64
+		prev, rest := base, buf
+		valid := true
+		for len(rest) > 0 {
+			delta, n := binary.Varint(rest)
+			if n <= 0 {
+				valid = false
+				break
+			}
+			prev += delta
+			want = append(want, prev)
+			rest = rest[n:]
+		}
+		got, gotRest, _, err := appendVarintDeltas(make([]int64, 0, len(buf)), buf, base)
+		if valid {
+			if err != nil || len(gotRest) != 0 {
+				t.Fatalf("valid input %x: err %v, %d bytes left", buf, err, len(gotRest))
+			}
+		} else {
+			if !errors.Is(err, errCorruptVarint) {
+				t.Fatalf("input %x rejected by binary.Varint: err %v", buf, err)
+			}
+			if len(gotRest) != len(rest) {
+				t.Fatalf("input %x: stopped with %d bytes left, binary.Varint with %d", buf, len(gotRest), len(rest))
+			}
+		}
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("input %x base %d: decoded %v, binary.Varint %v", buf, base, got, want)
+		}
+	})
 }

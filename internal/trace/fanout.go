@@ -12,29 +12,21 @@ import (
 	"streamsched/internal/obs"
 )
 
-// Parallel replay fan-out: one decode of the log feeds many consumers
-// concurrently. Sealed chunks are standalone-decodable (each carries its
-// delta base and global access index — see chunkMeta), so the decode
-// stage itself scales: decodeJobs workers claim chunks from an ordered
-// queue, decode each one into pooled fanBatches with the batched varint
-// fast path (spilled chunks are read off disk at chunk granularity via
-// ReadAt), and a reorder stage re-sequences the per-chunk batches before
-// broadcasting, so every consumer still observes the exact global order —
-// window resets included — and spilled traces are still read exactly
-// once (Replays() counts one per pass). With decodeJobs=1 a single
-// decoder goroutine streams the chunks in order through the same fast
-// path, which is the byte-identical baseline the equivalence property
-// tests pin the parallel path against.
+// Replay fan-out: one in-order decode of the log feeds many consumers.
+// The driver follows from the consumer count. One consumer replays inline
+// on the caller's goroutine through ForEachWindowed, with no channels.
+// Several consumers each run on their own goroutine, fed by one decoder
+// goroutine that streams the log once through ForEach and broadcasts
+// refcounted fanBatches in recorded order, so every consumer observes the
+// exact global order — window resets included — and spilled traces are
+// still read exactly once (Replays() counts one per pass).
 //
-// Resident memory stays flat regardless of trace length: the decode
-// stage holds at most decodeJobs+2 chunks in flight (the ordered-slot
-// queue is bounded), and downstream at most consumers*(fanQueueDepth+1)
-// batches are buffered, all recycled through pools.
+// Resident memory stays flat regardless of trace length: ForEach holds one
+// chunk at a time, and downstream at most consumers*(fanQueueDepth+1)
+// batches are buffered, all recycled through a pool.
 //
-// Each consumer runs on its own goroutine and receives the complete
-// stream in recorded order; parallelism comes from the decode workers
-// plus consumers that ignore the accesses they do not own (the shard
-// profilers route by set index). Window semantics are
+// Parallelism comes from consumers that ignore the accesses they do not
+// own (the shard profilers route by set index). Window semantics are
 // Log.ForEachWindowed's, replicated per consumer: ResetCounts fires
 // exactly when the measured window begins, or once at the end when the
 // window mark sits at or past the last access.
@@ -45,21 +37,15 @@ const (
 	// block ids) to stay cache-resident while a worker scans it.
 	fanBatchSize = 4096
 	// fanQueueDepth is the per-consumer channel buffer, in batches. It
-	// bounds how far the decode stage may run ahead of the slowest
-	// consumer.
+	// bounds how far the decoder may run ahead of the slowest consumer.
 	fanQueueDepth = 4
-	// decodeReorderSlack is how many chunks beyond the worker count may be
-	// in flight between the decode workers and the reorder stage; it
-	// bounds the reorder buffer (a fast worker parks at most this far
-	// ahead of the in-order chunk).
-	decodeReorderSlack = 2
 )
 
 // A WindowedConsumer consumes one windowed replay of a trace on a single
 // goroutine: Touch receives every access in recorded order, and
 // ResetCounts is invoked exactly once, when the measured window begins
-// (warm-then-reset-counts, like Log.ForEachWindowed). OrgProfilers and
-// the shard profilers implement it.
+// (warm-then-reset-counts, like Log.ForEachWindowed). The shard profilers
+// implement it.
 type WindowedConsumer interface {
 	ResetCounts()
 	Touch(blk int64)
@@ -95,17 +81,19 @@ func getFanBatch() *fanBatch {
 }
 
 // FanOut replays the log exactly once and streams every recorded access,
-// in order, to each consumer concurrently (one goroutine per consumer),
-// honouring the measured window per consumer. decodeJobs is the decode
-// worker count with the usual convention — 0 uses one worker per CPU, 1
-// forces the single-goroutine decoder — and is additionally capped at the
-// chunk count, since chunks are the unit of decode parallelism. FanOut
-// returns after every consumer has processed the full stream, so the
-// caller may read consumer state without further synchronisation. An
-// empty consumer list replays nothing and returns nil.
-func (l *Log) FanOut(consumers []WindowedConsumer, decodeJobs int) error {
-	if len(consumers) == 0 {
+// in order, to each consumer, honouring the measured window per consumer.
+// One consumer runs inline on the calling goroutine; several run
+// concurrently, one goroutine each. FanOut returns after every consumer
+// has processed the full stream, so the caller may read consumer state
+// without further synchronisation. An empty consumer list replays nothing
+// and returns nil.
+func (l *Log) FanOut(consumers []WindowedConsumer) error {
+	switch len(consumers) {
+	case 0:
 		return nil
+	case 1:
+		l.publishWorkers(1)
+		return l.ForEachWindowed(consumers[0].ResetCounts, consumers[0].Touch)
 	}
 	return l.fanOut(nil, len(consumers), func(w int, b *fanBatch, window int64, resetDone *bool) {
 		c := consumers[w]
@@ -122,16 +110,19 @@ func (l *Log) FanOut(consumers []WindowedConsumer, decodeJobs int) error {
 		for _, blk := range b.blks {
 			c.Touch(blk)
 		}
-	}, func(w int) { consumers[w].ResetCounts() }, decodeJobs)
+	}, func(w int) { consumers[w].ResetCounts() })
 }
 
 // FanOut replays the multiprocessor trace exactly once and streams every
-// access, tagged with its recording processor, to each consumer
-// concurrently. Semantics are Log.FanOut's; the decode workers tag
-// processors chunk-locally from the interleaving's run-length offsets.
-func (pl *ProcLog) FanOut(consumers []ProcWindowedConsumer, decodeJobs int) error {
-	if len(consumers) == 0 {
+// access, tagged with its recording processor, to each consumer.
+// Semantics are Log.FanOut's.
+func (pl *ProcLog) FanOut(consumers []ProcWindowedConsumer) error {
+	switch len(consumers) {
+	case 0:
 		return nil
+	case 1:
+		pl.log.publishWorkers(1)
+		return pl.ForEachWindowed(consumers[0].ResetCounts, consumers[0].TouchProc)
 	}
 	return pl.log.fanOut(pl, len(consumers), func(w int, b *fanBatch, window int64, resetDone *bool) {
 		c := consumers[w]
@@ -148,7 +139,18 @@ func (pl *ProcLog) FanOut(consumers []ProcWindowedConsumer, decodeJobs int) erro
 		for k, blk := range b.blks {
 			c.TouchProc(int(b.procs[k]), blk)
 		}
-	}, func(w int) { consumers[w].ResetCounts() }, decodeJobs)
+	}, func(w int) { consumers[w].ResetCounts() })
+}
+
+// publishWorkers records the pass's consumer count in the
+// profile.shard.workers gauge. profile.pipeline.decode.workers is always
+// 1 — decoding is one in-order pass — and stays published for readers
+// of the metric contract.
+func (l *Log) publishWorkers(n int) {
+	if reg := l.metrics().reg; reg != nil {
+		reg.Gauge("profile.shard.workers").Max(int64(n))
+		reg.Gauge("profile.pipeline.decode.workers").Max(1)
+	}
 }
 
 // fanMetrics is the pipeline's per-pass instrumentation bundle; zero
@@ -156,50 +158,35 @@ func (pl *ProcLog) FanOut(consumers []ProcWindowedConsumer, decodeJobs int) erro
 type fanMetrics struct {
 	batchesC *obs.Counter
 	depthG   *obs.Gauge
-	decodeH  *obs.Histogram // sequential decoder: per-batch fill latency
+	decodeH  *obs.Histogram // per-batch fill latency
 	routeH   *obs.Histogram // per-batch broadcast latency
-	chunkH   *obs.Histogram // parallel decoder: per-chunk decode latency
 }
 
-// fanOut is the shared decode→reorder→broadcast engine behind Log.FanOut
-// and ProcLog.FanOut. n worker goroutines drain their channels through
+// fanOut is the multi-consumer engine behind Log.FanOut and
+// ProcLog.FanOut. n worker goroutines drain their channels through
 // consume, then finalReset handles the empty-window case. pl non-nil
-// layers the run-length processor tags into the batches. decodeJobs
-// picks the front end: 1 runs the single-goroutine in-order decoder,
-// >1 runs the chunk-parallel decoder with its reorder stage.
+// layers the run-length processor tags into the batches.
 //
 // Every pipeline goroutine carries pprof labels so -cpuprofile output
-// attributes samples to stages: the sequential decoder runs as
-// stage=decode and flips to stage=route per broadcast; parallel decode
-// workers run as stage=decode with their worker index and the reorder
-// stage as stage=reorder. When the log's registry is live the pass also
+// attributes samples to stages: the decoder runs as stage=decode and
+// flips to stage=route per broadcast, and consumers run as stage=profile
+// with their worker index. When the log's registry is live the pass also
 // publishes the profile.pipeline.* metrics (see PERFORMANCE.md for the
 // name contract).
 func (l *Log) fanOut(pl *ProcLog, n int,
 	consume func(w int, b *fanBatch, window int64, resetDone *bool),
-	finalReset func(w int), decodeJobs int) error {
+	finalReset func(w int)) error {
 
 	window := l.window
 	met := l.metrics()
 	var fm fanMetrics
 	busy := make([]*obs.Timer, n)
-
-	djobs := profileWorkers(decodeJobs)
-	if nc := l.numChunks(); djobs > nc {
-		djobs = nc // one chunk cannot be decoded by two workers
-	}
-	if djobs < 1 {
-		djobs = 1
-	}
-
+	l.publishWorkers(n)
 	if met.reg != nil {
 		fm.batchesC = met.reg.Counter("profile.pipeline.batches")
 		fm.depthG = met.reg.Gauge("profile.pipeline.queue.depth")
 		fm.decodeH = met.reg.Histogram("profile.pipeline.batch.decode")
 		fm.routeH = met.reg.Histogram("profile.pipeline.batch.route")
-		fm.chunkH = met.reg.Histogram("profile.pipeline.decode.chunk")
-		met.reg.Gauge("profile.shard.workers").Max(int64(n))
-		met.reg.Gauge("profile.pipeline.decode.workers").Max(int64(djobs))
 		for w := range busy {
 			busy[w] = met.reg.Timer(fmt.Sprintf("profile.shard.%d.busy", w))
 		}
@@ -237,29 +224,7 @@ func (l *Log) fanOut(pl *ProcLog, n int,
 		}(w)
 	}
 
-	var began time.Time
-	if met.reg != nil {
-		began = time.Now()
-	}
-	var err error
-	if djobs <= 1 {
-		err = l.fanDecodeSequential(pl, chans, fm)
-	} else {
-		err = l.fanDecodeParallel(pl, chans, fm, djobs)
-		if err == nil {
-			// The parallel path bypasses ForEach, so account the replay
-			// here: exactly one trace.replays increment and one
-			// trace.replay observation per completed pass, the invariant
-			// E22 cross-checks.
-			l.replays++
-			met.replays.Add(1)
-			if met.reg != nil {
-				met.decode.Observe(time.Since(began))
-			}
-		} else {
-			err = l.latchChunk(err)
-		}
-	}
+	err := l.fanDecode(pl, chans, fm)
 	wg.Wait()
 	return err
 }
@@ -282,10 +247,11 @@ func broadcast(b *fanBatch, chans []chan *fanBatch, fm fanMetrics) {
 	}
 }
 
-// fanDecodeSequential is the decodeJobs=1 front end: one goroutine
-// decodes the whole trace in order (one ForEach — one replay, spilled
-// chunks streamed off disk once) and broadcasts fanBatchSize batches.
-func (l *Log) fanDecodeSequential(pl *ProcLog, chans []chan *fanBatch, fm fanMetrics) error {
+// fanDecode runs the decoder goroutine: it decodes the whole trace in
+// order (one ForEach — one replay, spilled chunks streamed off disk once),
+// broadcasts fanBatchSize batches, closes every channel, and returns the
+// replay's error.
+func (l *Log) fanDecode(pl *ProcLog, chans []chan *fanBatch, fm fanMetrics) error {
 	decodeCtx := pprof.WithLabels(context.Background(), pprof.Labels("stage", "decode"))
 	routeCtx := pprof.WithLabels(context.Background(), pprof.Labels("stage", "route"))
 	errC := make(chan error, 1)
@@ -331,15 +297,7 @@ func (l *Log) fanDecodeSequential(pl *ProcLog, chans []chan *fanBatch, fm fanMet
 
 		var err error
 		if pl != nil {
-			run, left := 0, int64(0)
-			err = l.ForEach(func(blk int64) {
-				for left == 0 {
-					left = pl.runs[run].n
-					run++
-				}
-				left--
-				emit(int32(pl.runs[run-1].proc), blk)
-			})
+			err = pl.ForEach(func(proc int, blk int64) { emit(int32(proc), blk) })
 		} else {
 			err = l.ForEach(func(blk int64) { emit(0, blk) })
 		}
@@ -355,185 +313,4 @@ func (l *Log) fanDecodeSequential(pl *ProcLog, chans []chan *fanBatch, fm fanMet
 		errC <- err
 	}()
 	return <-errC
-}
-
-// decodeSlot carries one chunk through the parallel decode stage: the
-// dispatcher enqueues slots in chunk order on a bounded queue, a worker
-// fills the slot's result, and the reorder stage consumes slots strictly
-// in order — blocking on each slot until its worker delivers — so the
-// broadcast sees chunks exactly as recorded no matter which worker
-// finished first. The slot queue's bound (decodeJobs+decodeReorderSlack)
-// is therefore also the reorder buffer's bound.
-type decodeSlot struct {
-	idx int
-	out chan decodedChunk // buffered(1): workers never block delivering
-}
-
-// decodedChunk is one chunk's decoded form: its accesses sliced into
-// broadcast-ready batches tagged with their global start indices.
-type decodedChunk struct {
-	batches []*fanBatch
-	err     error
-}
-
-// fanDecodeParallel is the chunk-parallel front end: djobs workers claim
-// sealed chunks (and the open tail) from an ordered queue, decode each
-// standalone from its recorded base, and the reorder stage re-sequences
-// the batches before broadcasting.
-func (l *Log) fanDecodeParallel(pl *ProcLog, chans []chan *fanBatch, fm fanMetrics, djobs int) error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.dropped {
-		return fmt.Errorf("trace: log closed after spilling; spilled data released")
-	}
-	if err := l.flushSpill(); err != nil {
-		return err
-	}
-	var runs []procRun
-	var ends []int64
-	if pl != nil {
-		runs = pl.runs
-		ends = pl.runEnds()
-	}
-
-	numChunks := l.numChunks()
-	slots := make(chan *decodeSlot, djobs+decodeReorderSlack)
-	work := make(chan *decodeSlot)
-	var failed atomic.Bool
-
-	// Dispatcher: create slots in chunk order. Enqueueing on the bounded
-	// slots channel first throttles total in-flight chunks; handing the
-	// same slot to work lets any idle worker claim it.
-	go func() {
-		defer close(slots)
-		defer close(work)
-		for i := 0; i < numChunks; i++ {
-			if failed.Load() {
-				return
-			}
-			s := &decodeSlot{idx: i, out: make(chan decodedChunk, 1)}
-			slots <- s
-			work <- s
-		}
-	}()
-
-	var dwg sync.WaitGroup
-	for w := 0; w < djobs; w++ {
-		dwg.Add(1)
-		go func(w int) {
-			defer dwg.Done()
-			labels := pprof.Labels("stage", "decode", "worker", strconv.Itoa(w))
-			pprof.Do(context.Background(), labels, func(context.Context) {
-				var readBuf []byte
-				for s := range work {
-					if failed.Load() {
-						s.out <- decodedChunk{}
-						continue
-					}
-					var t0 time.Time
-					if fm.chunkH != nil {
-						t0 = time.Now()
-					}
-					d := l.decodeChunkBatches(s.idx, &readBuf, runs, ends)
-					if fm.chunkH != nil && d.err == nil {
-						fm.chunkH.Observe(time.Since(t0))
-					}
-					if d.err != nil {
-						failed.Store(true)
-					}
-					s.out <- d
-				}
-			})
-		}(w)
-	}
-
-	// Reorder stage: consume slots strictly in chunk order and broadcast
-	// their batches, restoring the exact global access order.
-	reorderCtx := pprof.WithLabels(context.Background(), pprof.Labels("stage", "reorder"))
-	errC := make(chan error, 1)
-	go func() {
-		pprof.SetGoroutineLabels(reorderCtx)
-		var err error
-		for s := range slots {
-			d := <-s.out
-			if err != nil || d.err != nil {
-				if err == nil {
-					err = d.err
-					failed.Store(true)
-				}
-				for _, b := range d.batches {
-					fanBatchPool.Put(b)
-				}
-				continue
-			}
-			for _, b := range d.batches {
-				broadcast(b, chans, fm)
-			}
-		}
-		for _, ch := range chans {
-			close(ch)
-		}
-		errC <- err
-	}()
-
-	err := <-errC
-	dwg.Wait()
-	return err
-}
-
-// decodeChunkBatches decodes chunk idx standalone from its recorded base
-// into broadcast-ready batches: the batched varint fast path fills each
-// pooled batch to capacity, and with a run-length table present the
-// chunk's processor tags are derived locally via a cursor positioned at
-// the chunk's global start index.
-func (l *Log) decodeChunkBatches(idx int, readBuf *[]byte, runs []procRun, ends []int64) decodedChunk {
-	meta := l.chunkAt(idx)
-	buf, err := l.chunkBytes(idx, readBuf)
-	if err != nil {
-		return decodedChunk{err: err}
-	}
-	var pc procCursor
-	if runs != nil {
-		pc = newProcCursor(runs, ends, meta.start)
-	}
-	var out []*fanBatch
-	prev := meta.base
-	next := meta.start
-	total := int64(0)
-	rest := buf
-	for len(rest) > 0 {
-		b := getFanBatch()
-		b.start = next
-		var blks []int64
-		blks, rest, prev, err = appendVarintDeltas(b.blks[:0:fanBatchSize], rest, prev)
-		if err != nil {
-			fanBatchPool.Put(b)
-			for _, rb := range out {
-				fanBatchPool.Put(rb)
-			}
-			return decodedChunk{err: &chunkError{
-				chunk: idx, off: int64(len(buf) - len(rest)), spilled: meta.off >= 0, msg: "corrupt varint",
-			}}
-		}
-		b.blks = blks
-		if runs != nil {
-			for range blks {
-				b.procs = append(b.procs, pc.next())
-			}
-		}
-		next += int64(len(blks))
-		total += int64(len(blks))
-		out = append(out, b)
-	}
-	if total != meta.n {
-		for _, rb := range out {
-			fanBatchPool.Put(rb)
-		}
-		return decodedChunk{err: &chunkError{
-			chunk: idx, off: meta.bytes, spilled: meta.off >= 0,
-			msg: fmt.Sprintf("access count mismatch (decoded %d of sealed %d)", total, meta.n),
-		}}
-	}
-	return decodedChunk{batches: out}
 }

@@ -20,7 +20,7 @@ import "sort"
 // hits do not reorder the queue.
 type FIFOProfiler struct {
 	sets     int64
-	sims     []*fifoSim
+	banks    []*fifoBank // one whole bank (r=0, n=1) per way count, ascending
 	accesses int64
 	cold     int64
 
@@ -30,11 +30,16 @@ type FIFOProfiler struct {
 	seenSparse map[int64]struct{}
 }
 
-// fifoSim is one way-count's bank of per-set circular buffers.
-type fifoSim struct {
+// fifoBank is one way count's per-set circular buffers for the sets
+// congruent to r mod n, stored densely in ascending set order. A
+// FIFOProfiler holds whole banks (r=0, n=1); OrgShards strides each
+// bank across its workers. A row's state is the same whichever bank
+// holds it, so strided miss counts merge by sum.
+type fifoBank struct {
+	r      int64
 	ways   int64
-	blk    []int64 // sets*ways entries, -1 = empty
-	head   []int32 // per set: next insertion slot
+	blk    []int64 // local sets * ways entries, -1 = empty
+	head   []int32 // per local set: next insertion slot
 	misses int64
 	// resident is an O(1) membership index, used instead of scanning the
 	// row when ways exceeds fifoScanLimit (large fully-associative FIFOs
@@ -47,6 +52,38 @@ type fifoSim struct {
 // to a hash set.
 const fifoScanLimit = 16
 
+// newFIFOBank builds the residue-r-mod-n slice of a sets-set FIFO bank
+// with the given way count; nil when no set falls in the class.
+func newFIFOBank(sets, r, n, ways int64) *fifoBank {
+	ls := localSets(sets, r, n)
+	if ls == 0 {
+		return nil
+	}
+	f := &fifoBank{r: r, ways: ways, blk: make([]int64, ls*ways), head: make([]int32, ls)}
+	for j := range f.blk {
+		f.blk[j] = -1
+	}
+	if ways > fifoScanLimit {
+		f.resident = make(map[int64]struct{}, ls*ways)
+	}
+	return f
+}
+
+// uniqueWays returns the distinct way counts in ascending order — the
+// order FIFOCurve reports them in.
+func uniqueWays(ways []int64) []int64 {
+	uniq := make([]int64, 0, len(ways))
+	seen := make(map[int64]bool, len(ways))
+	for _, w := range ways {
+		if !seen[w] {
+			seen[w] = true
+			uniq = append(uniq, w)
+		}
+	}
+	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
+	return uniq
+}
+
 // NewFIFOProfiler returns a replayer for the given set count and way
 // counts (deduplicated, reported in ascending order). It panics if
 // sets < 1, ways is empty, or any way count is < 1.
@@ -57,29 +94,15 @@ func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
 	if len(ways) == 0 {
 		panic("trace: FIFOProfiler needs at least one way count")
 	}
-	uniq := make([]int64, 0, len(ways))
-	seen := make(map[int64]bool, len(ways))
 	for _, w := range ways {
 		if w < 1 {
 			panic("trace: FIFOProfiler way counts must be >= 1")
 		}
-		if !seen[w] {
-			seen[w] = true
-			uniq = append(uniq, w)
-		}
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	p := &FIFOProfiler{sets: sets, sims: make([]*fifoSim, len(uniq))}
+	uniq := uniqueWays(ways)
+	p := &FIFOProfiler{sets: sets, banks: make([]*fifoBank, len(uniq))}
 	for i, w := range uniq {
-		blk := make([]int64, sets*w)
-		for j := range blk {
-			blk[j] = -1
-		}
-		s := &fifoSim{ways: w, blk: blk, head: make([]int32, sets)}
-		if w > fifoScanLimit {
-			s.resident = make(map[int64]struct{}, sets*w)
-		}
-		p.sims[i] = s
+		p.banks[i] = newFIFOBank(sets, 0, 1, w)
 	}
 	return p
 }
@@ -100,16 +123,17 @@ func (p *FIFOProfiler) Touch(blk int64) {
 	if set < 0 {
 		set += p.sets
 	}
-	for _, s := range p.sims {
-		s.touch(set, blk)
+	for _, f := range p.banks {
+		f.touch(set, blk)
 	}
 }
 
-func (s *fifoSim) touch(set, blk int64) {
-	base := set * s.ways
-	row := s.blk[base : base+s.ways]
-	if s.resident != nil {
-		if _, ok := s.resident[blk]; ok {
+// touch feeds one access to local row k: the set k*n + r.
+func (f *fifoBank) touch(k, blk int64) {
+	base := k * f.ways
+	row := f.blk[base : base+f.ways]
+	if f.resident != nil {
+		if _, ok := f.resident[blk]; ok {
 			return // FIFO hit: no reorder
 		}
 	} else {
@@ -119,20 +143,20 @@ func (s *fifoSim) touch(set, blk int64) {
 			}
 		}
 	}
-	s.misses++
-	h := s.head[set]
-	if s.resident != nil {
+	f.misses++
+	h := f.head[k]
+	if f.resident != nil {
 		if victim := row[h]; victim >= 0 {
-			delete(s.resident, victim)
+			delete(f.resident, victim)
 		}
-		s.resident[blk] = struct{}{}
+		f.resident[blk] = struct{}{}
 	}
 	row[h] = blk
 	h++
-	if int64(h) == s.ways {
+	if int64(h) == f.ways {
 		h = 0
 	}
-	s.head[set] = h
+	f.head[k] = h
 }
 
 func (p *FIFOProfiler) firstEver(blk int64) bool {
@@ -174,8 +198,8 @@ func (p *FIFOProfiler) firstEver(blk int64) bool {
 func (p *FIFOProfiler) ResetCounts() {
 	p.accesses = 0
 	p.cold = 0
-	for _, s := range p.sims {
-		s.misses = 0
+	for _, f := range p.banks {
+		f.misses = 0
 	}
 }
 
@@ -185,12 +209,12 @@ func (p *FIFOProfiler) Curve() *FIFOCurve {
 		Sets:     p.sets,
 		Accesses: p.accesses,
 		Cold:     p.cold,
-		ways:     make([]int64, len(p.sims)),
-		misses:   make([]int64, len(p.sims)),
+		ways:     make([]int64, len(p.banks)),
+		misses:   make([]int64, len(p.banks)),
 	}
-	for i, s := range p.sims {
-		c.ways[i] = s.ways
-		c.misses[i] = s.misses
+	for i, f := range p.banks {
+		c.ways[i] = f.ways
+		c.misses[i] = f.misses
 	}
 	return c
 }

@@ -26,10 +26,9 @@ const logChunkSize = 64 << 10
 // Every sealed chunk carries a small in-memory chunkMeta recording its
 // delta base (the block id preceding the chunk's first access), its global
 // access index, its access count, and — once spilled — its byte offset in
-// the spill file. A chunk therefore decodes standalone, which is what lets
-// the FanOut pipeline decode sealed chunks on parallel workers and lets
-// ForEach read the spill file at chunk granularity via ReadAt instead of
-// the seek-restore dance.
+// the spill file. A chunk therefore decodes standalone, which lets ForEach
+// read the spill file at chunk granularity via ReadAt instead of the
+// seek-restore dance, and lets a decode failure name its chunk.
 //
 // A Log records a single logical run. MarkWindow splits it into a warmup
 // prefix and a measured window, mirroring schedule.Measure's
@@ -123,7 +122,8 @@ func (l *Log) metrics() *logMetrics {
 func (l *Log) SetMetrics(reg *obs.Registry) { l.met = newLogMetrics(reg) }
 
 // Metrics returns the registry the log publishes to, nil when disabled.
-// Profiling passes that only receive the log (ProfileOrgs, ProfileHier)
+// Profiling passes that only receive the log (ProfileOrgsJobs,
+// hierarchy.ProfileHierJobs)
 // publish their own metrics here so one run's counters land in one place.
 func (l *Log) Metrics() *obs.Registry { return l.metrics().reg }
 
@@ -270,10 +270,9 @@ func (l *Log) Replays() int64 { return l.replays }
 
 // ForEach replays every recorded access in order. It may be called
 // repeatedly; the log remains appendable afterwards. Decoding is
-// chunk-at-a-time through the batched varint fast path — the same
-// primitive the parallel FanOut decoder uses — with spilled chunks read
-// back at chunk granularity via ReadAt (the spill writer's offset is
-// never disturbed).
+// chunk-at-a-time through the batched varint fast path, with spilled
+// chunks read back at chunk granularity via ReadAt (the spill writer's
+// offset is never disturbed).
 func (l *Log) ForEach(fn func(blk int64)) error {
 	if l.err != nil {
 		return l.err
@@ -353,9 +352,8 @@ func (l *Log) chunkAt(i int) chunkMeta {
 
 // chunkBytes returns chunk i's encoded bytes. Spilled chunks are read
 // into *readBuf (grown on demand, reused across calls) with ReadAt, which
-// is safe under concurrent readers — the parallel decode workers each
-// carry their own readBuf — and leaves the spill writer's offset alone.
-// The caller must have flushed the spill writer first.
+// leaves the spill writer's offset alone. The caller must have flushed
+// the spill writer first.
 func (l *Log) chunkBytes(i int, readBuf *[]byte) ([]byte, error) {
 	if i >= len(l.metas) {
 		return l.cur, nil
@@ -458,9 +456,9 @@ func (e *chunkError) Unwrap() error { return e.cause }
 // wrappers turn it into a *chunkError carrying chunk index and offset.
 var errCorruptVarint = errors.New("corrupt varint")
 
-// decodeSlabPool recycles whole-chunk decode buffers for the sequential
-// path: one chunk's accesses fit because every encoded access is at least
-// one byte and a chunk never grows past logChunkSize plus one varint.
+// decodeSlabPool recycles ForEach's whole-chunk decode buffers: one
+// chunk's accesses fit because every encoded access is at least one byte
+// and a chunk never grows past logChunkSize plus one varint.
 var decodeSlabPool = sync.Pool{New: func() any {
 	s := make([]int64, 0, logChunkSize+binary.MaxVarintLen64)
 	return &s
@@ -494,6 +492,11 @@ func appendVarintDeltas(dst []int64, buf []byte, prev int64) (out []int64, rest 
 				b := buf[i]
 				i++
 				if b < 0x80 {
+					if s == 63 && b > 1 {
+						// A 10th byte carries only bit 63: anything
+						// larger overflows, as binary.Varint reports.
+						return dst, buf, prev, errCorruptVarint
+					}
 					ux |= uint64(b) << s
 					break
 				}

@@ -34,7 +34,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := trace.ProfileOrgs(log, specs); err != nil {
+			if _, err := trace.ProfileOrgsJobs(log, specs, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

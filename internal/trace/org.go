@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"fmt"
-
-	"streamsched/internal/obs"
-)
+import "fmt"
 
 // OrgSpec selects one cache-organisation family to profile a trace under:
 // a set count whose per-set LRU stacks answer every way count at once,
@@ -74,7 +70,7 @@ func EffectiveWays(capacity, block, ways int64) int64 {
 }
 
 // GridSpecs groups a (capacity x ways) evaluation grid at the given block
-// size into one OrgSpec per distinct set count — the shape ProfileOrgs
+// size into one OrgSpec per distinct set count — the shape ProfileOrgsJobs
 // wants — and returns the set-count -> spec-index map used to find each
 // geometry's curves again. A ways value of 0 means fully associative.
 // When fifo is true every geometry's effective way count is added to its
@@ -113,117 +109,4 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 		return o.FIFO.Misses(ways)
 	}
 	return o.LRU.Misses(ways), true
-}
-
-// OrgProfilers is the incremental form of ProfileOrgs: every
-// organisation's profilers behind one Touch, so a caller that drives other
-// per-access state off the same replay (the hierarchy profiler's L1
-// filters) can share a single trace decode instead of replaying once per
-// consumer.
-type OrgProfilers struct {
-	specs []OrgSpec
-	assoc []*AssocProfiler
-	fifo  []*FIFOProfiler
-}
-
-// NewOrgProfilers validates the specs and builds their profilers.
-func NewOrgProfilers(specs []OrgSpec) (*OrgProfilers, error) {
-	p := &OrgProfilers{
-		specs: specs,
-		assoc: make([]*AssocProfiler, len(specs)),
-		fifo:  make([]*FIFOProfiler, len(specs)),
-	}
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			return nil, fmt.Errorf("spec %d: %w", i, err)
-		}
-		p.assoc[i] = NewAssocProfiler(s.Sets)
-		if len(s.FIFOWays) > 0 {
-			p.fifo[i] = NewFIFOProfiler(s.Sets, s.FIFOWays)
-		}
-	}
-	return p, nil
-}
-
-// ResetCounts starts the measured window: histograms and miss counters
-// reset, warm stack state kept.
-func (p *OrgProfilers) ResetCounts() {
-	for i := range p.specs {
-		p.assoc[i].ResetCounts()
-		if p.fifo[i] != nil {
-			p.fifo[i].ResetCounts()
-		}
-	}
-}
-
-// Touch feeds one access to every organisation's profilers.
-func (p *OrgProfilers) Touch(blk int64) {
-	for j := range p.assoc {
-		p.assoc[j].Touch(blk)
-		if p.fifo[j] != nil {
-			p.fifo[j].Touch(blk)
-		}
-	}
-}
-
-// TimelineOps returns the total Fenwick-timeline operation count across
-// every organisation's set stacks.
-func (p *OrgProfilers) TimelineOps() int64 {
-	var ops int64
-	for _, a := range p.assoc {
-		ops += a.TimelineOps()
-	}
-	return ops
-}
-
-// PublishMetrics records a completed profiling pass's totals into reg
-// (no-op when reg is nil): the counted access total, the Fenwick work it
-// cost, and the pass count. Callers that drive OrgProfilers manually
-// (ProfileHier, experiment E22) call this once per pass; ProfileOrgs does
-// it for its own pass.
-func (p *OrgProfilers) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
-	if reg == nil {
-		return
-	}
-	var accesses int64
-	if len(curves) > 0 {
-		accesses = curves[0].LRU.Accesses
-	}
-	reg.Counter("trace.profile.accesses").Add(accesses)
-	reg.Counter("trace.profile.fenwick.ops").Add(p.TimelineOps())
-	reg.Counter("trace.profile.passes").Add(1)
-}
-
-// Curves extracts the profiles, in spec order.
-func (p *OrgProfilers) Curves() []*OrgCurves {
-	out := make([]*OrgCurves, len(p.specs))
-	for j, s := range p.specs {
-		out[j] = &OrgCurves{Spec: s, LRU: p.assoc[j].Curve()}
-		if p.fifo[j] != nil {
-			out[j].FIFO = p.fifo[j].Curve()
-		}
-	}
-	return out
-}
-
-// ProfileOrgs replays the log once and feeds every organisation's
-// profilers from that single pass, honouring the log's measured window
-// (accesses before WindowStart warm the caches but are not counted). The
-// returned curves are in spec order. Work per access is proportional to
-// the number of specs, but the trace — the expensive part, one scheduled
-// execution — is recorded and decoded exactly once.
-func ProfileOrgs(l *Log, specs []OrgSpec) ([]*OrgCurves, error) {
-	p, err := NewOrgProfilers(specs)
-	if err != nil {
-		return nil, err
-	}
-	reg := l.Metrics()
-	stop := reg.Timer("trace.profile").Start()
-	if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
-		return nil, err
-	}
-	curves := p.Curves()
-	stop()
-	p.PublishMetrics(reg, curves)
-	return curves, nil
 }

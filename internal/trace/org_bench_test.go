@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -15,9 +14,9 @@ func benchStream(n int, nblocks int64) []int64 {
 	return randomStream(rng, n, nblocks)
 }
 
-// BenchmarkProfileOrgs measures multi-organisation profiling: one replay
-// of a 400k-access trace driving seven organisations (the E12 grid shape)
-// at once.
+// BenchmarkProfileOrgs measures multi-organisation profiling on one
+// worker: one inline replay of a 400k-access trace driving seven
+// organisations (the E12 grid shape) at once.
 func BenchmarkProfileOrgs(b *testing.B) {
 	stream := benchStream(400000, 512)
 	log := trace.NewLog()
@@ -35,7 +34,7 @@ func BenchmarkProfileOrgs(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.ProfileOrgs(log, specs); err != nil {
+		if _, err := trace.ProfileOrgsJobs(log, specs, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -54,12 +53,10 @@ func benchOrgSpecs() []trace.OrgSpec {
 	}
 }
 
-// BenchmarkProfileOrgsSharded is BenchmarkProfileOrgs through the sharded
-// engine at one worker per CPU, with the decode stage also parallel (one
-// chunk-decode worker per CPU): same log, same seven organisations. At
-// GOMAXPROCS=1 this delegates to the sequential path; the CI bench job
-// runs it on multiple cores, where the paired diff against
-// BenchmarkProfileOrgs is the speedup evidence.
+// BenchmarkProfileOrgsSharded is BenchmarkProfileOrgs at one worker per
+// CPU: same log, same seven organisations, fed by the in-order decoder
+// goroutine. At GOMAXPROCS=1 it is BenchmarkProfileOrgs; on more cores
+// the paired diff against it is the sharding's speedup or loss.
 func BenchmarkProfileOrgsSharded(b *testing.B) {
 	stream := benchStream(400000, 512)
 	log := trace.NewLog()
@@ -70,37 +67,9 @@ func BenchmarkProfileOrgsSharded(b *testing.B) {
 	jobs := trace.ProfileWorkers(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := trace.ProfileOrgsJobs(log, specs, jobs, 0); err != nil {
+		if _, err := trace.ProfileOrgsJobs(log, specs, jobs, 1); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkProfileOrgsShardedDecode sweeps the decodejobs knob at a fixed
-// shard worker count — the decode-scaling table in PERFORMANCE.md comes
-// from this sweep. decodejobs=1 is the PR 6 pipeline (single in-order
-// decoder), so its paired diff doubles as the no-regression guard for the
-// sequential front end.
-func BenchmarkProfileOrgsShardedDecode(b *testing.B) {
-	stream := benchStream(400000, 512)
-	log := trace.NewLog()
-	for _, blk := range stream {
-		log.RecordBlock(blk)
-	}
-	specs := benchOrgSpecs()
-	jobs := trace.ProfileWorkers(0)
-	for _, dj := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("decodejobs=%d", dj)
-		if dj == 0 {
-			name = "decodejobs=cpus"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := trace.ProfileOrgsJobs(log, specs, jobs, dj); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -55,10 +55,11 @@ func simulateMisses(t *testing.T, cfg cachesim.Config, stream []int64, warm int)
 	return c.Stats().Misses
 }
 
-// TestOrgCurvesMatchCachesim cross-validates ProfileOrgs against the cache
-// simulator on random streams: for every (capacity, ways, policy) geometry
-// the one-pass curves must equal the simulator's miss count exactly,
-// including the direct-mapped (Ways=1) and Capacity==Block edge cases.
+// TestOrgCurvesMatchCachesim cross-validates ProfileOrgsJobs, at one and
+// two workers, against the cache simulator on random streams: for every
+// (capacity, ways, policy) geometry the one-pass curves must equal the
+// simulator's miss count exactly, including the direct-mapped (Ways=1)
+// and Capacity==Block edge cases.
 func TestOrgCurvesMatchCachesim(t *testing.T) {
 	const block = 16
 	type geom struct {
@@ -111,36 +112,38 @@ func TestOrgCurvesMatchCachesim(t *testing.T) {
 			}
 			specs[idx].FIFOWays = append(specs[idx].FIFOWays, ways)
 		}
-		curves, err := trace.ProfileOrgs(log, specs)
-		if err != nil {
-			t.Fatalf("ProfileOrgs: %v", err)
-		}
-
-		for _, g := range geoms {
-			sets, _ := trace.SetsFor(g.capacity, block, g.ways)
-			ways := g.ways
-			if ways == 0 {
-				ways = g.capacity / block
-			}
-			oc := curves[specIdx[sets]]
-
-			lruCfg := cachesim.Config{Capacity: g.capacity, Block: block, Ways: int(g.ways)}
-			wantLRU := simulateMisses(t, lruCfg, stream, warm)
-			if got := oc.LRU.Misses(ways); got != wantLRU {
-				t.Errorf("seed %d cap=%d ways=%d LRU: curve %d, cachesim %d",
-					seed, g.capacity, g.ways, got, wantLRU)
+		for _, jobs := range []int{1, 2} {
+			curves, err := trace.ProfileOrgsJobs(log, specs, jobs, 1)
+			if err != nil {
+				t.Fatalf("ProfileOrgsJobs(jobs=%d): %v", jobs, err)
 			}
 
-			fifoCfg := lruCfg
-			fifoCfg.Policy = cachesim.FIFO
-			wantFIFO := simulateMisses(t, fifoCfg, stream, warm)
-			got, ok := oc.FIFO.Misses(ways)
-			if !ok {
-				t.Fatalf("seed %d cap=%d ways=%d: FIFO way count not replayed", seed, g.capacity, g.ways)
-			}
-			if got != wantFIFO {
-				t.Errorf("seed %d cap=%d ways=%d FIFO: curve %d, cachesim %d",
-					seed, g.capacity, g.ways, got, wantFIFO)
+			for _, g := range geoms {
+				sets, _ := trace.SetsFor(g.capacity, block, g.ways)
+				ways := g.ways
+				if ways == 0 {
+					ways = g.capacity / block
+				}
+				oc := curves[specIdx[sets]]
+
+				lruCfg := cachesim.Config{Capacity: g.capacity, Block: block, Ways: int(g.ways)}
+				wantLRU := simulateMisses(t, lruCfg, stream, warm)
+				if got := oc.LRU.Misses(ways); got != wantLRU {
+					t.Errorf("seed %d jobs %d cap=%d ways=%d LRU: curve %d, cachesim %d",
+						seed, jobs, g.capacity, g.ways, got, wantLRU)
+				}
+
+				fifoCfg := lruCfg
+				fifoCfg.Policy = cachesim.FIFO
+				wantFIFO := simulateMisses(t, fifoCfg, stream, warm)
+				got, ok := oc.FIFO.Misses(ways)
+				if !ok {
+					t.Fatalf("seed %d jobs %d cap=%d ways=%d: FIFO way count not replayed", seed, jobs, g.capacity, g.ways)
+				}
+				if got != wantFIFO {
+					t.Errorf("seed %d jobs %d cap=%d ways=%d FIFO: curve %d, cachesim %d",
+						seed, jobs, g.capacity, g.ways, got, wantFIFO)
+				}
 			}
 		}
 	}
@@ -163,7 +166,7 @@ func TestAssocCurveFullMatchesMissCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 1}})
+	curves, err := trace.ProfileOrgsJobs(log, []trace.OrgSpec{{Sets: 1}}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +227,7 @@ func TestProfileOrgsEmptyWindow(t *testing.T) {
 		log.RecordBlock(blk)
 	}
 	log.MarkWindow()
-	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{2}}})
+	curves, err := trace.ProfileOrgsJobs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{2}}}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +289,7 @@ func TestOrgCurvesMissesHelper(t *testing.T) {
 	for _, blk := range []int64{0, 1, 2, 0, 1, 2} {
 		log.RecordBlock(blk)
 	}
-	curves, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{2}}, {Sets: 1}})
+	curves, err := trace.ProfileOrgsJobs(log, []trace.OrgSpec{{Sets: 1, FIFOWays: []int64{2}}, {Sets: 1}}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,10 +312,10 @@ func TestOrgCurvesMissesHelper(t *testing.T) {
 func TestProfileOrgsBadSpec(t *testing.T) {
 	log := trace.NewLog()
 	log.RecordBlock(1)
-	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 0}}); err == nil {
+	if _, err := trace.ProfileOrgsJobs(log, []trace.OrgSpec{{Sets: 0}}, 1, 1); err == nil {
 		t.Error("Sets=0 accepted")
 	}
-	if _, err := trace.ProfileOrgs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{0}}}); err == nil {
+	if _, err := trace.ProfileOrgsJobs(log, []trace.OrgSpec{{Sets: 2, FIFOWays: []int64{0}}}, 1, 1); err == nil {
 		t.Error("FIFO ways=0 accepted")
 	}
 }

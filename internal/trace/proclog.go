@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"streamsched/internal/obs"
 )
@@ -10,8 +9,9 @@ import (
 // ProcLog is a multi-processor trace: P per-processor block-access streams
 // together with the global order in which the parallel executor interleaved
 // them. It is the input of the shared-hierarchy profiler
-// (internal/hierarchy.ProfileShared): private-L1 behaviour depends only on
-// each processor's own stream, but a shared L2's contents depend on how
+// (internal/hierarchy.ProfileSharedJobs): private-L1 behaviour depends
+// only on each processor's own stream, but a shared L2's contents depend
+// on how
 // the processors' miss streams interleave, so the global order is part of
 // the trace, not an artifact of it.
 //
@@ -119,53 +119,6 @@ func (pl *ProcLog) Err() error { return pl.log.Err() }
 // Close releases the spill file, if any; a spilled trace cannot be
 // replayed afterwards.
 func (pl *ProcLog) Close() error { return pl.log.Close() }
-
-// runEnds returns the prefix sums of the interleaving's run lengths:
-// ends[i] is the global access index just past run i. Built once per
-// parallel decode, it is the per-processor run-length offset table that
-// makes a sealed chunk standalone for processor tagging too — any chunk's
-// starting run is a binary search away (see newProcCursor).
-func (pl *ProcLog) runEnds() []int64 {
-	ends := make([]int64, len(pl.runs))
-	var total int64
-	for i, r := range pl.runs {
-		total += r.n
-		ends[i] = total
-	}
-	return ends
-}
-
-// procCursor walks the run-length-encoded interleaving from an arbitrary
-// global access index. Each parallel decode worker positions one at its
-// chunk's start index and advances it per decoded access, so processor
-// tags are computed chunk-locally without replaying the prefix.
-type procCursor struct {
-	runs []procRun
-	ri   int
-	left int64
-}
-
-// newProcCursor positions a cursor at global index start, which must be
-// less than the total recorded access count.
-func newProcCursor(runs []procRun, ends []int64, start int64) procCursor {
-	ri := sort.Search(len(ends), func(i int) bool { return ends[i] > start })
-	c := procCursor{runs: runs, ri: ri}
-	if ri < len(ends) {
-		c.left = ends[ri] - start
-	}
-	return c
-}
-
-// next returns the recording processor of the access at the cursor and
-// advances it.
-func (c *procCursor) next() int32 {
-	if c.left == 0 {
-		c.ri++
-		c.left = c.runs[c.ri].n
-	}
-	c.left--
-	return int32(c.runs[c.ri].proc)
-}
 
 // ForEach replays every access in global order, tagged with the recording
 // processor. It may be called repeatedly.

@@ -3,34 +3,33 @@ package trace
 import (
 	"fmt"
 	"runtime"
-	"sort"
 
 	"streamsched/internal/obs"
 )
 
-// Sharded organisation profiling. Per-set Mattson stacks and per-set FIFO
-// rows are mutually independent — set index is a pure function of the
-// block id — so the per-set state of every OrgSpec can be partitioned
-// across W workers that each scan the full decoded stream (via FanOut)
-// and touch only the structures they own. One partition serves every spec
-// at once: a structure's owner is (set + salt) mod W, where the salt is a
+// Organisation profiling. Per-set Mattson stacks and per-set FIFO rows
+// are mutually independent — set index is a pure function of the block
+// id — so the per-set state of every OrgSpec can be partitioned across W
+// workers that each scan the full decoded stream (via FanOut) and touch
+// only the structures they own. One partition serves every spec at once:
+// a structure's owner is (set + salt) mod W, where the salt is a
 // deterministic per-structure rotation so the heavyweight singleton
 // structures (a fully-associative spec has one set — one Fenwick stack,
 // one FIFO row per way count) land on distinct workers instead of piling
 // onto worker 0. For nested power-of-two set counts the rotation
 // preserves the property that each access touches at most one worker's
-// state per structure, so sharded work per worker is ~1/W of sequential.
+// state per structure, so work per worker is ~1/W of the whole. W = 1 is
+// the sequential profiler: one shard owning every set.
 //
 // The merge is exact, not approximate: every per-set structure is
-// identical to the one the sequential profiler would have built (same
-// dense within-set id space, same hybrid list→Fenwick upgrade, same FIFO
-// rows), so reassembling the per-set curves in set order reproduces the
-// sequential curves byte for byte. FIFO Accesses/Cold totals are taken
-// from the spec's LRU curve: both sequential profilers count the same
-// in-window accesses, and a block's first-ever access is first-ever in
-// its set's stack exactly when it is first-ever globally, so the totals
-// coincide by construction (the property tests assert this equality
-// against the sequential path).
+// identical to the one a single worker would have built (same dense
+// within-set id space, same hybrid list→Fenwick upgrade, same FIFO rows),
+// so reassembling the per-set curves in set order reproduces the curves
+// byte for byte at any W. FIFO Accesses/Cold totals are taken from the
+// spec's LRU curve: FIFO and LRU count the same in-window accesses, and a
+// block's first-ever access is first-ever in its set's stack exactly when
+// it is first-ever globally, so the totals coincide by construction (the
+// org tests assert this against a standalone FIFOProfiler).
 
 // OrgShards partitions the per-set profiler state of a spec list across a
 // fixed number of workers. Each worker drives its shard — a
@@ -45,8 +44,8 @@ type OrgShards struct {
 	// assocParts[i][w] is worker w's slice of spec i's per-set LRU stacks
 	// (nil when w owns none); fifoParts[i][wi][w] likewise for the spec's
 	// wi-th replayed FIFO way count.
-	assocParts [][]*assocShard
-	fifoParts  [][][]*fifoShard
+	assocParts [][]*assocBank
+	fifoParts  [][][]*fifoBank
 }
 
 // shardPlan records one spec's structure→worker rotation.
@@ -54,7 +53,6 @@ type shardPlan struct {
 	sets      int64
 	assocSalt int
 	fifoWays  []int64 // deduplicated, ascending: FIFOCurve's order
-	fifoSalts []int
 }
 
 // OrgShard is one worker's partition: the per-set stacks and FIFO rows it
@@ -70,27 +68,8 @@ type OrgShard struct {
 // worker owns nothing of are pruned at build time.
 type shardSpecState struct {
 	sets  int64
-	assoc *assocShard // nil when this worker owns no LRU sets of the spec
-	fifo  []*fifoShard
-}
-
-// assocShard is the worker-local slice of one spec's per-set LRU stacks:
-// the sets congruent to r mod n, stored densely in ascending set order.
-type assocShard struct {
-	r, n, sets int64
-	per        []setStack
-}
-
-// fifoShard is the worker-local slice of one (spec, way count) FIFO
-// bank: rows for the sets congruent to r mod n. State per row is
-// identical to the sequential fifoSim's, so miss counts merge by sum.
-type fifoShard struct {
-	r, n, sets int64
-	ways       int64
-	blk        []int64 // localSets*ways entries, -1 = empty
-	head       []int32
-	resident   map[int64]struct{} // ways > fifoScanLimit, like fifoSim
-	misses     int64
+	assoc *assocBank // nil when this worker owns no LRU sets of the spec
+	fifo  []*fifoBank
 }
 
 // shardResidue is the residue class mod n that worker w owns for a
@@ -119,8 +98,8 @@ func NewOrgShards(specs []OrgSpec, n int) (*OrgShards, error) {
 		n:          n,
 		plans:      make([]shardPlan, len(specs)),
 		parts:      make([]*OrgShard, n),
-		assocParts: make([][]*assocShard, len(specs)),
-		fifoParts:  make([][][]*fifoShard, len(specs)),
+		assocParts: make([][]*assocBank, len(specs)),
+		fifoParts:  make([][][]*fifoBank, len(specs)),
 	}
 	for w := range s.parts {
 		s.parts[w] = &OrgShard{n: int64(n)}
@@ -130,29 +109,9 @@ func NewOrgShards(specs []OrgSpec, n int) (*OrgShards, error) {
 		if err := sp.Validate(); err != nil {
 			return nil, fmt.Errorf("spec %d: %w", i, err)
 		}
-		plan := shardPlan{sets: sp.Sets, assocSalt: salt}
-		salt++
-		if len(sp.FIFOWays) > 0 {
-			uniq := make([]int64, 0, len(sp.FIFOWays))
-			seen := make(map[int64]bool, len(sp.FIFOWays))
-			for _, w := range sp.FIFOWays {
-				if !seen[w] {
-					seen[w] = true
-					uniq = append(uniq, w)
-				}
-			}
-			sort.Slice(uniq, func(a, b int) bool { return uniq[a] < uniq[b] })
-			plan.fifoWays = uniq
-			plan.fifoSalts = make([]int, len(uniq))
-			for wi := range uniq {
-				plan.fifoSalts[wi] = salt
-				salt++
-			}
-		}
+		plan := shardPlan{sets: sp.Sets, assocSalt: salt, fifoWays: uniqueWays(sp.FIFOWays)}
 		s.plans[i] = plan
 
-		s.assocParts[i] = make([]*assocShard, n)
-		s.fifoParts[i] = make([][]*fifoShard, len(plan.fifoWays))
 		states := make([]*shardSpecState, n) // lazily created per worker
 		state := func(w int) *shardSpecState {
 			if states[w] == nil {
@@ -161,38 +120,24 @@ func NewOrgShards(specs []OrgSpec, n int) (*OrgShards, error) {
 			}
 			return states[w]
 		}
+		s.assocParts[i] = make([]*assocBank, n)
 		for w := 0; w < n; w++ {
-			r := shardResidue(w, plan.assocSalt, n)
-			ls := localSets(sp.Sets, r, int64(n))
-			if ls == 0 {
-				continue
+			if a := newAssocBank(sp.Sets, shardResidue(w, salt, n), int64(n)); a != nil {
+				state(w).assoc = a
+				s.assocParts[i][w] = a
 			}
-			a := &assocShard{r: r, n: int64(n), sets: sp.Sets, per: make([]setStack, ls)}
-			for k := range a.per {
-				a.per[k].list = &listStack{}
-			}
-			state(w).assoc = a
-			s.assocParts[i][w] = a
 		}
+		salt++
+		s.fifoParts[i] = make([][]*fifoBank, len(plan.fifoWays))
 		for wi, ways := range plan.fifoWays {
-			s.fifoParts[i][wi] = make([]*fifoShard, n)
+			s.fifoParts[i][wi] = make([]*fifoBank, n)
 			for w := 0; w < n; w++ {
-				r := shardResidue(w, plan.fifoSalts[wi], n)
-				ls := localSets(sp.Sets, r, int64(n))
-				if ls == 0 {
-					continue
+				if f := newFIFOBank(sp.Sets, shardResidue(w, salt, n), int64(n), ways); f != nil {
+					state(w).fifo = append(state(w).fifo, f)
+					s.fifoParts[i][wi][w] = f
 				}
-				f := &fifoShard{r: r, n: int64(n), sets: sp.Sets, ways: ways,
-					blk: make([]int64, ls*ways), head: make([]int32, ls)}
-				for j := range f.blk {
-					f.blk[j] = -1
-				}
-				if ways > fifoScanLimit {
-					f.resident = make(map[int64]struct{}, ls*ways)
-				}
-				state(w).fifo = append(state(w).fifo, f)
-				s.fifoParts[i][wi][w] = f
 			}
+			salt++
 		}
 	}
 	return s, nil
@@ -210,9 +155,7 @@ func (s *OrgShard) ResetCounts() {
 	for i := range s.specs {
 		sp := &s.specs[i]
 		if sp.assoc != nil {
-			for k := range sp.assoc.per {
-				sp.assoc.per[k].resetCounts()
-			}
+			sp.assoc.resetCounts()
 		}
 		for _, f := range sp.fifo {
 			f.misses = 0
@@ -222,7 +165,8 @@ func (s *OrgShard) ResetCounts() {
 
 // Touch routes one access: for each spec the worker owns structures of,
 // the block's set index is computed once and only owned structures are
-// fed. Non-owned sets cost one modulo and a compare per spec.
+// fed. Non-owned sets cost one modulo and a compare per spec; a single
+// worker owns everything and skips the modulo.
 func (s *OrgShard) Touch(blk int64) {
 	n := s.n
 	for i := range s.specs {
@@ -231,82 +175,52 @@ func (s *OrgShard) Touch(blk int64) {
 		if set < 0 {
 			set += sp.sets
 		}
-		res := set % n
+		// set = k*n + res: k is the set's local index in the bank of
+		// residue res.
+		k, res := set, int64(0)
+		if n > 1 {
+			k = set / n
+			res = set - k*n
+		}
 		if a := sp.assoc; a != nil && res == a.r {
-			// Same dense within-set id the sequential profiler feeds.
-			a.per[(set-a.r)/n].touch((blk - set) / sp.sets)
+			// Same dense within-set id AssocProfiler feeds.
+			a.per[k].touch((blk - set) / sp.sets)
 			s.touches++
 		}
 		for _, f := range sp.fifo {
 			if res == f.r {
-				f.touch(set, blk)
+				f.touch(k, blk)
 				s.touches++
 			}
 		}
 	}
 }
 
-// touch mirrors fifoSim.touch on the worker-local row of the set.
-func (f *fifoShard) touch(set, blk int64) {
-	base := (set - f.r) / f.n * f.ways
-	row := f.blk[base : base+f.ways]
-	if f.resident != nil {
-		if _, ok := f.resident[blk]; ok {
-			return // FIFO hit: no reorder
-		}
-	} else {
-		for _, b := range row {
-			if b == blk {
-				return // FIFO hit: no reorder
-			}
-		}
-	}
-	f.misses++
-	h := f.head[(set-f.r)/f.n]
-	if f.resident != nil {
-		if victim := row[h]; victim >= 0 {
-			delete(f.resident, victim)
-		}
-		f.resident[blk] = struct{}{}
-	}
-	row[h] = blk
-	h++
-	if int64(h) == f.ways {
-		h = 0
-	}
-	f.head[(set-f.r)/f.n] = h
-}
-
 // Curves reassembles the exact per-spec curves from the worker
-// partitions, in spec order — byte-identical to what ProfileOrgs'
-// sequential profilers produce from the same stream.
+// partitions, in spec order. Every per-set structure is the one a single
+// worker would have built, so the curves do not depend on the worker
+// count.
 func (s *OrgShards) Curves() []*OrgCurves {
 	out := make([]*OrgCurves, len(s.specs))
 	for i, sp := range s.specs {
 		plan := s.plans[i]
-		ac := &AssocCurve{Sets: plan.sets, per: make([]*MissCurve, plan.sets)}
-		for set := int64(0); set < plan.sets; set++ {
-			w := (int(set) + plan.assocSalt) % s.n
-			a := s.assocParts[i][w]
-			mc := a.per[(set-a.r)/a.n].curve()
-			ac.per[set] = mc
-			ac.Accesses += mc.Accesses
-			ac.Cold += mc.Cold
-		}
+		ac := assocCurve(plan.sets, int64(s.n), func(set int64) *assocBank {
+			return s.assocParts[i][(int(set)+plan.assocSalt)%s.n]
+		})
 		oc := &OrgCurves{Spec: sp, LRU: ac}
 		if len(plan.fifoWays) > 0 {
 			fc := &FIFOCurve{
 				Sets: plan.sets,
-				// Both sequential profilers count identical in-window
-				// access and first-ever totals; see the package comment.
+				// FIFO and LRU count the same in-window accesses and
+				// first-ever blocks; see the package comment.
 				Accesses: ac.Accesses,
 				Cold:     ac.Cold,
 				ways:     append([]int64(nil), plan.fifoWays...),
 				misses:   make([]int64, len(plan.fifoWays)),
 			}
 			for wi := range plan.fifoWays {
-				for w := 0; w < s.n; w++ {
-					if f := s.fifoParts[i][wi][w]; f != nil {
+				for _, f := range s.fifoParts[i][wi] {
+					if f != nil {
 						fc.misses[wi] += f.misses
 					}
 				}
@@ -319,27 +233,24 @@ func (s *OrgShards) Curves() []*OrgCurves {
 }
 
 // TimelineOps returns the total Fenwick-timeline operation count across
-// every worker's upgraded set stacks — the same total the sequential
-// profilers would report, since the per-set structures are identical.
+// every worker's upgraded set stacks — the same total at any worker
+// count, since the per-set structures are identical.
 func (s *OrgShards) TimelineOps() int64 {
 	var ops int64
 	for _, part := range s.parts {
 		for i := range part.specs {
 			if a := part.specs[i].assoc; a != nil {
-				for k := range a.per {
-					if m := a.per[k].mat; m != nil {
-						ops += m.TimelineOps()
-					}
-				}
+				ops += a.timelineOps()
 			}
 		}
 	}
 	return ops
 }
 
-// PublishMetrics records a completed sharded pass's totals into reg,
-// mirroring OrgProfilers.PublishMetrics plus the per-shard touch
-// counters (profile.shard.<w>.touches). No-op when reg is nil.
+// PublishMetrics records a completed pass's totals into reg: the counted
+// access total, the Fenwick work it cost, the pass count, and the
+// per-shard touch counters (profile.shard.<w>.touches). No-op when reg
+// is nil.
 func (s *OrgShards) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
 	if reg == nil {
 		return
@@ -356,21 +267,15 @@ func (s *OrgShards) PublishMetrics(reg *obs.Registry, curves []*OrgCurves) {
 	}
 }
 
-// profileWorkers resolves a jobs knob to a worker count: <= 0 means one
-// worker per available CPU (GOMAXPROCS), 1 forces the sequential path,
-// larger values are taken as given. Shared by every ProfileJobs entry
-// point, the decodeJobs knob, and schedule.Env.
-func profileWorkers(jobs int) int {
+// ProfileWorkers resolves a jobs knob to a worker count: <= 0 means one
+// worker per available CPU (GOMAXPROCS), larger values are taken as
+// given. Shared by every ProfileJobs entry point and schedule.Env.
+func ProfileWorkers(jobs int) int {
 	if jobs <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}
 	return jobs
 }
-
-// ProfileWorkers is the exported form of the jobs→workers convention,
-// for callers (the hierarchy profilers, the CLI) that need to resolve
-// the knob themselves.
-func ProfileWorkers(jobs int) int { return profileWorkers(jobs) }
 
 // OrgShardUnits counts the independently-shardable structures across a
 // spec list: each spec contributes one per-set LRU stack per set plus one
@@ -382,15 +287,7 @@ func ProfileWorkers(jobs int) int { return profileWorkers(jobs) }
 func OrgShardUnits(specs []OrgSpec) int64 {
 	var units int64
 	for _, sp := range specs {
-		seen := make(map[int64]bool, len(sp.FIFOWays))
-		distinct := int64(0)
-		for _, w := range sp.FIFOWays {
-			if !seen[w] {
-				seen[w] = true
-				distinct++
-			}
-		}
-		units += sp.Sets * (1 + distinct)
+		units += sp.Sets * int64(1+len(uniqueWays(sp.FIFOWays)))
 	}
 	return units
 }
@@ -407,19 +304,18 @@ func capWorkers(w int, units int64) int {
 	return w
 }
 
-// ProfileOrgsJobs is ProfileOrgs with the profiling work sharded across
-// a worker pool: jobs <= 0 uses one worker per CPU, 1 is exactly
-// ProfileOrgs, and larger values pin the worker count — capped at
+// ProfileOrgsJobs replays the log once and profiles every organisation
+// from that single pass, honouring the log's measured window (accesses
+// before WindowStart warm the caches but are not counted). The per-set
+// state is sharded across a worker pool: jobs <= 0 uses one worker per
+// CPU, and larger values pin the worker count — capped at
 // OrgShardUnits(specs), since a worker with no structures is pure
-// overhead. The trace is decoded once — with decodeJobs parallel chunk
-// decoders (same knob convention, capped at the chunk count) — and the
-// returned curves are byte-identical to the sequential path's, in spec
-// order.
+// overhead. One worker replays inline on the calling goroutine. The
+// curves, in spec order, do not depend on the worker count. The
+// decodeJobs parameter is deprecated: ignored; decoding is one in-order
+// pass.
 func ProfileOrgsJobs(l *Log, specs []OrgSpec, jobs, decodeJobs int) ([]*OrgCurves, error) {
-	w := capWorkers(profileWorkers(jobs), OrgShardUnits(specs))
-	if w <= 1 && profileWorkers(decodeJobs) <= 1 {
-		return ProfileOrgs(l, specs)
-	}
+	w := capWorkers(ProfileWorkers(jobs), OrgShardUnits(specs))
 	shards, err := NewOrgShards(specs, w)
 	if err != nil {
 		return nil, err
@@ -430,7 +326,7 @@ func ProfileOrgsJobs(l *Log, specs []OrgSpec, jobs, decodeJobs int) ([]*OrgCurve
 	for i := range consumers {
 		consumers[i] = shards.Shard(i)
 	}
-	if err := l.FanOut(consumers, decodeJobs); err != nil {
+	if err := l.FanOut(consumers); err != nil {
 		return nil, err
 	}
 	curves := shards.Curves()

@@ -61,15 +61,13 @@ func shardSpecPool() [][]OrgSpec {
 }
 
 // TestProfileOrgsJobsMatchesSequential is the shard router's core
-// property: for random traces and spec grids, the sharded curves must be
-// byte-identical to the sequential ones at every (worker, decode worker)
-// count, spilled or in-memory, and the trace must still be decoded
-// exactly once per pass — the parallel chunk decoder's reorder stage
-// included.
+// property: for random traces and spec grids, the curves must be
+// byte-identical to the one-worker pass at every worker count — 2, 3,
+// NumCPU, and past the unit cap — spilled or in-memory, and the trace
+// must still be decoded exactly once per pass.
 func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	jobsList := []int{1, 2, 3, runtime.NumCPU(), 16}
-	djobsList := []int{1, 2, runtime.NumCPU(), 16}
+	jobsList := []int{2, 3, runtime.NumCPU(), 0, 1024}
 	trials := 2
 	if testing.Short() {
 		trials = 1
@@ -78,27 +76,54 @@ func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 		for _, specs := range shardSpecPool() {
 			for _, spill := range []bool{false, true} {
 				l := randomShardLog(t, rng, 3000+rng.Intn(2000), spill)
-				want, err := ProfileOrgs(l, specs)
+				want, err := ProfileOrgsJobs(l, specs, 1, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, jobs := range jobsList {
-					for _, djobs := range djobsList {
-						before := l.Replays()
-						got, err := ProfileOrgsJobs(l, specs, jobs, djobs)
-						if err != nil {
-							t.Fatalf("jobs=%d decodejobs=%d: %v", jobs, djobs, err)
-						}
-						if l.Replays() != before+1 {
-							t.Fatalf("jobs=%d decodejobs=%d: %d replays for one pass", jobs, djobs, l.Replays()-before)
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("trial %d specs %v spill=%v jobs=%d decodejobs=%d: sharded curves differ from sequential", trial, specs, spill, jobs, djobs)
-						}
+					before := l.Replays()
+					got, err := ProfileOrgsJobs(l, specs, jobs, 1)
+					if err != nil {
+						t.Fatalf("jobs=%d: %v", jobs, err)
+					}
+					if l.Replays() != before+1 {
+						t.Fatalf("jobs=%d: %d replays for one pass", jobs, l.Replays()-before)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d specs %v spill=%v jobs=%d: sharded curves differ from one worker", trial, specs, spill, jobs)
 					}
 				}
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// TestOrgFIFOMatchesFIFOProfiler pins the FIFO half of the merge against
+// the standalone FIFOProfiler the hierarchy's L2 groups use: the same
+// FIFOCurve — misses, and the Accesses/Cold totals OrgShards takes from
+// the LRU curve — at one worker and at several.
+func TestOrgFIFOMatchesFIFOProfiler(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, specs := range shardSpecPool() {
+		l := randomShardLog(t, rng, 4000, false)
+		for _, jobs := range []int{1, 3} {
+			curves, err := ProfileOrgsJobs(l, specs, jobs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, sp := range specs {
+				if len(sp.FIFOWays) == 0 {
+					continue
+				}
+				p := NewFIFOProfiler(sp.Sets, sp.FIFOWays)
+				if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
+					t.Fatal(err)
+				}
+				if want := p.Curve(); !reflect.DeepEqual(curves[i].FIFO, want) {
+					t.Fatalf("jobs=%d spec %v: FIFO curve %+v, FIFOProfiler %+v", jobs, sp, curves[i].FIFO, want)
 				}
 			}
 		}
@@ -121,27 +146,25 @@ func TestProfileOrgsJobsWindowEdges(t *testing.T) {
 		if mark == 50 {
 			l.MarkWindow()
 		}
-		want, err := ProfileOrgs(l, specs)
+		want, err := ProfileOrgsJobs(l, specs, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, djobs := range []int{1, 4} {
-			got, err := ProfileOrgsJobs(l, specs, 4, djobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mark=%d decodejobs=%d: sharded curves differ", mark, djobs)
-			}
+		got, err := ProfileOrgsJobs(l, specs, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("mark=%d: sharded curves differ", mark)
 		}
 	}
 
 	empty := NewLog()
-	want, err := ProfileOrgs(empty, specs)
+	want, err := ProfileOrgsJobs(empty, specs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProfileOrgsJobs(empty, specs, 4, 4)
+	got, err := ProfileOrgsJobs(empty, specs, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,11 +185,11 @@ func TestProfileOrgsJobsMoreWorkersThanState(t *testing.T) {
 		l.RecordBlock(int64((i * 3) % 9))
 	}
 	specs := []OrgSpec{{Sets: 2, FIFOWays: []int64{2}}}
-	want, err := ProfileOrgs(l, specs)
+	want, err := ProfileOrgsJobs(l, specs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProfileOrgsJobs(l, specs, 64, 16)
+	got, err := ProfileOrgsJobs(l, specs, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +209,7 @@ func TestProfileOrgsJobsMoreWorkersThanState(t *testing.T) {
 	for i := range cons {
 		cons[i] = shards.Shard(i)
 	}
-	if err := l.FanOut(cons, 2); err != nil {
+	if err := l.FanOut(cons); err != nil {
 		t.Fatal(err)
 	}
 	if direct := shards.Curves(); !reflect.DeepEqual(direct, want) {
@@ -197,9 +220,8 @@ func TestProfileOrgsJobsMoreWorkersThanState(t *testing.T) {
 // TestProfileOrgsJobsAdaptiveWorkerCap asserts the adaptive jobs
 // heuristic: the chosen shard worker count (profile.shard.workers) is
 // capped at the grid's independent unit count, and the decode worker
-// count (profile.pipeline.decode.workers) at the trace's chunk count — a
-// small in-memory trace is one chunk, so a huge -decodejobs collapses
-// to 1.
+// gauge (profile.pipeline.decode.workers) reports the one in-order
+// decoder.
 func TestProfileOrgsJobsAdaptiveWorkerCap(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := NewLog()
@@ -215,7 +237,7 @@ func TestProfileOrgsJobsAdaptiveWorkerCap(t *testing.T) {
 	if u := OrgShardUnits(specs); u != 4 {
 		t.Fatalf("OrgShardUnits = %d, want 4", u)
 	}
-	if _, err := ProfileOrgsJobs(l, specs, 64, 16); err != nil {
+	if _, err := ProfileOrgsJobs(l, specs, 64, 16); err != nil { // decodeJobs is ignored
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
@@ -223,7 +245,7 @@ func TestProfileOrgsJobsAdaptiveWorkerCap(t *testing.T) {
 		t.Fatalf("profile.shard.workers = %d, want the 4-unit cap", w)
 	}
 	if w := snap.Gauges["profile.pipeline.decode.workers"]; w != 1 {
-		t.Fatalf("profile.pipeline.decode.workers = %d, want 1 (single-chunk trace)", w)
+		t.Fatalf("profile.pipeline.decode.workers = %d, want 1", w)
 	}
 }
 
@@ -242,13 +264,13 @@ func (r *recordingConsumer) Touch(blk int64) {
 
 // TestFanOutMatchesForEachWindowed checks the pipeline's delivery
 // contract directly: every consumer sees the full stream in order with
-// exactly one reset at the window position, at every decode width.
+// exactly one reset at the window position, whether it replays inline
+// (one consumer) or behind the decoder goroutine (several).
 func TestFanOutMatchesForEachWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	djobsList := []int{1, 2, runtime.NumCPU(), 16}
 	for trial := 0; trial < 10; trial++ {
 		spill := trial%2 == 1
-		djobs := djobsList[trial%len(djobsList)]
+		n := 1 + trial%3*2 // 1, 3, 5 consumers
 		l := randomShardLog(t, rng, 2500+rng.Intn(3000), spill)
 
 		var wantBlks []int64
@@ -260,24 +282,24 @@ func TestFanOutMatchesForEachWindowed(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cons := make([]WindowedConsumer, 3)
-		recs := make([]*recordingConsumer, 3)
+		cons := make([]WindowedConsumer, n)
+		recs := make([]*recordingConsumer, n)
 		for i := range cons {
 			recs[i] = &recordingConsumer{resetAt: -1}
 			cons[i] = recs[i]
 		}
-		if err := l.FanOut(cons, djobs); err != nil {
+		if err := l.FanOut(cons); err != nil {
 			t.Fatal(err)
 		}
 		for i, r := range recs {
 			if r.resets != 1 {
-				t.Fatalf("decodejobs=%d consumer %d: %d resets", djobs, i, r.resets)
+				t.Fatalf("consumers=%d consumer %d: %d resets", n, i, r.resets)
 			}
 			if r.resetAt != wantReset {
-				t.Fatalf("decodejobs=%d consumer %d: reset at %d, want %d", djobs, i, r.resetAt, wantReset)
+				t.Fatalf("consumers=%d consumer %d: reset at %d, want %d", n, i, r.resetAt, wantReset)
 			}
 			if !reflect.DeepEqual(r.blks, wantBlks) {
-				t.Fatalf("decodejobs=%d consumer %d: stream differs from ForEachWindowed", djobs, i)
+				t.Fatalf("consumers=%d consumer %d: stream differs from ForEachWindowed", n, i)
 			}
 		}
 		if err := l.Close(); err != nil {
@@ -298,12 +320,12 @@ func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			l := randomShardLog(t, rng, 4000, seed%2 == 0)
-			want, err := ProfileOrgs(l, specs)
+			want, err := ProfileOrgsJobs(l, specs, 1, 1)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got, err := ProfileOrgsJobs(l, specs, 4, 2+int(seed))
+			got, err := ProfileOrgsJobs(l, specs, 4, 1)
 			if err != nil {
 				t.Error(err)
 				return

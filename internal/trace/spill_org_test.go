@@ -3,10 +3,10 @@ package trace_test
 // Regression test for the spill x organisation-profiling interaction: a
 // log that spilled sealed chunks to disk must replay into exactly the
 // same organisation curves as the identical in-memory log. The spill path
-// decodes through a different code path (bufio over the unlinked temp
+// decodes through a different code path (ReadAt over the unlinked temp
 // file, then the in-memory tail), so a windowing or delta-base bug there
 // would silently corrupt every curve; this pins byte-for-byte equality of
-// the profiles. ProfileHier's spill equivalence is covered by the
+// the profiles. ProfileHierJobs' spill equivalence is covered by the
 // mirror-image test in internal/hierarchy.
 
 import (
@@ -49,33 +49,35 @@ func TestProfileOrgsSpillIdentical(t *testing.T) {
 		{Sets: 8, FIFOWays: []int64{4}},
 		{Sets: 32},
 	}
-	a, err := trace.ProfileOrgs(mem, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := trace.ProfileOrgs(spilled, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("spill-backed organisation curves differ from in-memory curves")
-	}
-	// Spot-check a few evaluation points so a DeepEqual false negative on
-	// unexported state cannot hide a real divergence silently.
-	for i := range a {
-		for _, w := range []int64{1, 4, 16} {
-			if a[i].LRU.Misses(w) != b[i].LRU.Misses(w) {
-				t.Errorf("spec %d LRU ways %d: %d vs %d", i, w, a[i].LRU.Misses(w), b[i].LRU.Misses(w))
+	for _, jobs := range []int{1, 2} {
+		a, err := trace.ProfileOrgsJobs(mem, specs, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := trace.ProfileOrgsJobs(spilled, specs, jobs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("jobs=%d: spill-backed organisation curves differ from in-memory curves", jobs)
+		}
+		// Spot-check a few evaluation points so a DeepEqual false negative on
+		// unexported state cannot hide a real divergence silently.
+		for i := range a {
+			for _, w := range []int64{1, 4, 16} {
+				if a[i].LRU.Misses(w) != b[i].LRU.Misses(w) {
+					t.Errorf("jobs=%d spec %d LRU ways %d: %d vs %d", jobs, i, w, a[i].LRU.Misses(w), b[i].LRU.Misses(w))
+				}
 			}
 		}
 	}
 	// The spilled log must stay appendable and re-profilable after replay.
-	if _, err := trace.ProfileOrgs(spilled, specs); err != nil {
+	if _, err := trace.ProfileOrgsJobs(spilled, specs, 1, 1); err != nil {
 		t.Errorf("second profiling pass over the spilled log: %v", err)
 	}
 	// Full-stats accounting: both logs saw the same stream and seal chunks
-	// identically; only the spill destination differs, and each ProfileOrgs
-	// pass costs exactly one replay.
+	// identically; only the spill destination differs, and each
+	// ProfileOrgsJobs pass costs exactly one replay.
 	st, stMem := spilled.Stats(), mem.Stats()
 	if st.Accesses != int64(len(blocks)) || stMem.Accesses != int64(len(blocks)) {
 		t.Errorf("stats count %d/%d accesses, recorded %d", st.Accesses, stMem.Accesses, len(blocks))
@@ -86,7 +88,7 @@ func TestProfileOrgsSpillIdentical(t *testing.T) {
 	if st.SpilledBytes == 0 || stMem.SpilledBytes != 0 {
 		t.Errorf("spill accounting: spilled log %d bytes, in-memory log %d", st.SpilledBytes, stMem.SpilledBytes)
 	}
-	if st.Replays != 2 || stMem.Replays != 1 {
-		t.Errorf("replay accounting: spilled %d (want 2), in-memory %d (want 1)", st.Replays, stMem.Replays)
+	if st.Replays != 3 || stMem.Replays != 2 {
+		t.Errorf("replay accounting: spilled %d (want 3), in-memory %d (want 2)", st.Replays, stMem.Replays)
 	}
 }
