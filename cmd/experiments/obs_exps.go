@@ -181,10 +181,9 @@ func runE22(cfg runConfig) error {
 
 // replayBreakdown records one trace of s and splits its profiling cost:
 // decode is a bare replay into a no-op consumer, profile is the extra
-// cost of feeding a one-worker trace.OrgShards (ProfileOrgsJobs' engine at
-// jobs=1) during a second replay, merge is curve extraction. The
-// profilers' totals are published to reg so the snapshot stays
-// consistent with the work done.
+// cost of feeding a trace.OrgProfiler (ProfileOrgsJobs' engine) during a
+// second replay, merge is curve extraction. The profilers' totals are
+// published to reg so the snapshot stays consistent with the work done.
 func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs []trace.OrgSpec, warm, meas int64, reg *obs.Registry) (decode, profile, merge time.Duration, accesses int64, err error) {
 	plan, err := s.Prepare(g, env)
 	if err != nil {
@@ -219,20 +218,20 @@ func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs
 	}
 	decode = time.Since(start)
 
-	shards, err := trace.NewOrgShards(specs, 1)
+	p, err := trace.NewOrgProfiler(specs)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	start = time.Now()
-	if err := log.FanOut([]trace.WindowedConsumer{shards.Shard(0)}); err != nil {
+	if err := log.FanOut([]trace.WindowedConsumer{p}); err != nil {
 		return 0, 0, 0, 0, err
 	}
 	if profile = time.Since(start) - decode; profile < 0 {
 		profile = 0 // replay jitter can dip under the bare-decode sample
 	}
 	start = time.Now()
-	curves := shards.Curves()
+	curves := p.Curves()
 	merge = time.Since(start)
-	shards.PublishMetrics(reg, curves)
+	p.PublishMetrics(reg, curves)
 	return decode, profile, merge, curves[0].LRU.Accesses, nil
 }

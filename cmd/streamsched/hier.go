@@ -53,6 +53,12 @@ func cmdHier(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("hier: -M and -B must be positive\n%w", errUsage)
 	}
+	if err := nonNegative("hier", "-workers", *workers); err != nil {
+		return err
+	}
+	if err := nonNegative("hier", "-profilejobs", *profileJobs); err != nil {
+		return err
+	}
 	if *l2block == 0 {
 		*l2block = *b
 	}

@@ -34,7 +34,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	meas := fs.Int64("measure", 4096, "measured source firings")
 	scale := fs.Int64("scale", 4, "scaling factor for -sched scaled")
 	workers := fs.Int("workers", 0, "parallel recordings (default GOMAXPROCS)")
-	profileJobs := fs.Int("profilejobs", 0, "shard workers per profiling pass (0 = GOMAXPROCS, 1 = sequential)")
 	csv := fs.Bool("csv", false, "emit CSV instead of a table")
 	if err := fs.Parse(args); err != nil {
 		return errUsage
@@ -45,6 +44,9 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	}
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("misscurve: -M and -B must be positive\n%w", errUsage)
+	}
+	if err := nonNegative("misscurve", "-workers", *workers); err != nil {
+		return err
 	}
 	var scheds []schedule.Scheduler
 	if *sched == "all" {
@@ -79,14 +81,13 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 		return err
 	}
 	defer func() { err = errors.Join(err, sess.Close()) }()
-	env := schedule.Env{M: *m, B: *b, ProfileJobs: *profileJobs}
+	env := schedule.Env{M: *m, B: *b}
 
 	defaultOrg := len(waysList) == 1 && waysList[0] == 0 && len(policies) == 1 && policies[0] == "LRU"
 	if defaultOrg {
 		sweepSp := obs.Default().StartSpan("misscurve.sweep")
 		outcomes := schedule.SweepCurves(g, scheds, env, *b, *warm, *meas, *workers)
 		sweepSp.End()
-		of.logWorkerChoice(out)
 		results, err := collectSweep("misscurve", outcomes)
 		if err != nil {
 			return err
@@ -130,7 +131,6 @@ func cmdMissCurve(args []string, out io.Writer) (err error) {
 	sweepSp := obs.Default().StartSpan("misscurve.sweep")
 	outcomes := schedule.SweepCurveOrgs(g, scheds, env, *b, *warm, *meas, specs, *workers)
 	sweepSp.End()
-	of.logWorkerChoice(out)
 	results, err := collectSweep("misscurve", outcomes)
 	if err != nil {
 		return err

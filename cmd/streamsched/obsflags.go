@@ -35,9 +35,10 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 }
 
 // logWorkerChoice reports, under -v, the shard worker count the profiling
-// engine actually chose — the adaptive heuristic may cap -profilejobs at
-// the grid's independent unit count. Reads the profile.shard.workers
-// gauge the pipeline publishes, so it must run after the sweep.
+// engine actually chose for hier and shared — -profilejobs is capped at
+// the grid's (L1 point, L2 family) unit count. Reads the
+// profile.shard.workers gauge the pipeline publishes, so it must run
+// after the sweep.
 func (o *obsFlags) logWorkerChoice(out io.Writer) {
 	if !o.verbose {
 		return

@@ -33,7 +33,7 @@ var errUsage = errors.New(`usage:
   streamsched loadtest -addr <url> [-kind plan|profile] [-c N] [-n N] [-distinct N] [-workload <name>] [-M <words>] [-B <words>]
 workloads: fmradio filterbank beamformer fft bitonic des mp3
 schedulers: flat scaled demand kohli partitioned
-profiling (misscurve, hier, shared): [-profilejobs N] shards each profiling pass across N workers (0 = GOMAXPROCS, 1 = sequential; curves are identical either way)
+parallelism (0 = GOMAXPROCS; results are identical either way): [-workers N] (misscurve, hier) records N schedules at once; [-profilejobs N] (hier, shared) shards each profiling pass across N workers
 observability (simulate, misscurve, hier, shared): [-metrics <file[.csv]>] [-cpuprofile <file>] [-memprofile <file>] [-trace <file>] [-listen <addr>] [-v]`)
 
 // run dispatches a CLI invocation; out receives normal output.
@@ -461,6 +461,16 @@ func workloadBy(name string, scale int64) (*sdf.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown workload %q\n%w", name, errUsage)
 	}
+}
+
+// nonNegative rejects a negative worker-count flag with the usage error;
+// the sweep and profiling engines would otherwise read it as one worker
+// per CPU.
+func nonNegative(verb, flag string, v int) error {
+	if v < 0 {
+		return fmt.Errorf("%s: %s must be >= 0, got %d\n%w", verb, flag, v, errUsage)
+	}
+	return nil
 }
 
 // parseSize parses integers with optional k/m suffixes (base 1024), e.g.

@@ -362,6 +362,28 @@ func TestMissCurveGeometryValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeWorkerCountsRejected: a negative -workers or -profilejobs
+// is a usage error, not a silent fallback to one worker per CPU, and
+// -profilejobs is gone from misscurve.
+func TestNegativeWorkerCountsRejected(t *testing.T) {
+	path := writeGraph(t, "fmradio", 64)
+	for _, args := range [][]string{
+		{"misscurve", "-M", "256", "-workers", "-3", path},
+		{"misscurve", "-M", "256", "-profilejobs", "1", path},
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-workers", "-3", path},
+		{"hier", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-profilejobs", "-3", path},
+		{"shared", "-M", "256", "-l1caps", "256", "-l2caps", "1k", "-profilejobs", "-3", path},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); !errors.Is(err, errUsage) {
+			t.Errorf("run(%v) = %v, want the usage error", args, err)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("run(%v) printed output before rejecting:\n%s", args, sb.String())
+		}
+	}
+}
+
 func TestHierCommand(t *testing.T) {
 	path := writeGraph(t, "fmradio", 64)
 	var sb strings.Builder

@@ -55,6 +55,9 @@ func cmdShared(args []string, out io.Writer) (err error) {
 	if *m <= 0 || *b <= 0 {
 		return fmt.Errorf("shared: -M and -B must be positive\n%w", errUsage)
 	}
+	if err := nonNegative("shared", "-profilejobs", *profileJobs); err != nil {
+		return err
+	}
 	if *procs < 1 {
 		return fmt.Errorf("shared: -P must be >= 1, got %d", *procs)
 	}

@@ -42,13 +42,14 @@ func TestBadFlags(t *testing.T) {
 }
 
 // TestNegativeJobsRejected: negative worker counts are a usage error, not
-// a silent fallback to one worker per CPU. The unbindable listen address
-// makes a daemon that accepted the flags fail fast with a listen error.
+// a silent fallback to one worker per CPU, and the removed -profilejobs
+// flag is unknown. The unbindable listen address makes a daemon that
+// accepted the flags fail fast with a listen error.
 func TestNegativeJobsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-jobs", "-5"},
-		{"-profilejobs", "-5"},
-		{"-jobs", "-1", "-profilejobs", "2"},
+		{"-jobs", "-1", "-timeout", "1s"},
+		{"-profilejobs", "1"},
 	} {
 		err := realMain(append([]string{"-listen", "127.0.0.1:-1"}, args...), io.Discard, nil)
 		if err == nil || !strings.HasPrefix(err.Error(), "usage:") {

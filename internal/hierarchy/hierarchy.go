@@ -14,7 +14,7 @@
 //     cost model.
 //   - ProfileHierJobs is the one-pass evaluation path built on the
 //     internal/trace machinery: record one log per scheduler, compute L1
-//     miss curves via trace.OrgShards, then filter the trace through an
+//     miss curves via trace.OrgProfiler, then filter the trace through an
 //     exact L1 replica per L1 design point and profile the filtered miss
 //     stream — per-set Mattson stacks for LRU, multiplexed replicas for
 //     FIFO — to produce exact L2 curves for every L2 organisation. One

@@ -16,8 +16,8 @@ import (
 // (via trace FanOut), so they produce identical miss streams — each
 // worker feeds its owned groups the same filtered stream a single worker
 // would, in the same order, and the curves do not depend on the worker
-// count. The L1 organisation curves ride the same worker pool through
-// trace.OrgShards. The replica redundancy costs one Bank lookup per
+// count. The L1 organisation curves ride worker 0 as one
+// trace.OrgProfiler. The replica redundancy costs one Bank lookup per
 // (worker, L1 point) per access; the expensive state — the per-set L2
 // Mattson stacks and FIFO rows — is never duplicated. With one worker
 // there is one replica per L1 point and the pass runs inline.
@@ -50,23 +50,27 @@ func (r *filterReplica) resetCounts() {
 	}
 }
 
-// hierShardWorker is one worker's share of a ProfileHierJobs pass: an
-// organisation-curve shard plus its filter replicas. It implements
-// trace.WindowedConsumer.
+// hierShardWorker is one worker's share of a ProfileHierJobs pass: its
+// filter replicas, plus the organisation profiler on worker 0. It
+// implements trace.WindowedConsumer.
 type hierShardWorker struct {
-	org  *trace.OrgShard
+	org  *trace.OrgProfiler // nil except on worker 0
 	reps []*filterReplica
 }
 
 func (w *hierShardWorker) ResetCounts() {
-	w.org.ResetCounts()
+	if w.org != nil {
+		w.org.ResetCounts()
+	}
 	for _, r := range w.reps {
 		r.resetCounts()
 	}
 }
 
 func (w *hierShardWorker) Touch(blk int64) {
-	w.org.Touch(blk)
+	if w.org != nil {
+		w.org.Touch(blk)
+	}
 	for _, r := range w.reps {
 		r.touch(blk)
 	}
@@ -103,18 +107,16 @@ func mergeUnitsTimed(h *obs.Histogram, groups []*l2Group) {
 	}
 }
 
-// hierShardUnits counts the independently-assignable work units of a
-// hierarchy grid: the (L1 point, L2 family) pairs distributed round-robin
-// plus the organisation-curve structures riding the same pool. Workers
-// beyond the larger of the two own nothing, so the jobs knob is capped at
-// it (the adaptive heuristic; the chosen count lands in
-// profile.shard.workers).
-func hierShardUnits(orgSpecs []trace.OrgSpec, nL1, nFams int) int64 {
-	units := int64(nL1) * int64(nFams)
-	if ou := trace.OrgShardUnits(orgSpecs); ou > units {
-		units = ou
+// hierWorkers resolves the jobs knob for a grid of nL1 × nFams
+// (L1 point, L2 family) units, the pairs distributed round-robin: a
+// worker beyond the unit count would own nothing, so the count is capped
+// there (the chosen count lands in profile.shard.workers).
+func hierWorkers(jobs, nL1, nFams int) int {
+	workers := trace.ProfileWorkers(jobs)
+	if units := nL1 * nFams; workers > units {
+		workers = units
 	}
-	return units
+	return workers
 }
 
 // ProfileHierJobs evaluates the whole (L1, L2) grid from one recorded log
@@ -126,27 +128,25 @@ func hierShardUnits(orgSpecs []trace.OrgSpec, nL1, nFams int) int64 {
 // independent implementations of every L1 point agreeing access for
 // access. The work is sharded across a worker pool: jobs <= 0 uses one
 // worker per CPU, larger values pin the worker count — capped at the
-// grid's independent unit count. The curves do not depend on the worker
-// count. The decodeJobs parameter is deprecated: ignored; decoding is one
-// in-order pass.
+// grid's (L1 point, L2 family) unit count. The curves do not depend on
+// the worker count. The decodeJobs parameter is deprecated: ignored;
+// decoding is one in-order pass.
 func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCurves, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	orgSpecs, specIdx := hierOrgSpecs(spec.L1s)
 	fams, slots := l2Families(spec.Block, spec.L2s)
-	workers := trace.ProfileWorkers(jobs)
-	if u := hierShardUnits(orgSpecs, len(spec.L1s), len(fams)); int64(workers) > u {
-		workers = int(u)
-	}
-	shards, err := trace.NewOrgShards(orgSpecs, workers)
+	workers := hierWorkers(jobs, len(spec.L1s), len(fams))
+	org, err := trace.NewOrgProfiler(orgSpecs)
 	if err != nil {
 		return nil, err
 	}
 	pool := make([]*hierShardWorker, workers)
 	for w := range pool {
-		pool[w] = &hierShardWorker{org: shards.Shard(w)}
+		pool[w] = &hierShardWorker{}
 	}
+	pool[0].org = org
 	repAt := make([][]*filterReplica, workers) // per worker, per L1 point
 	for w := range repAt {
 		repAt[w] = make([]*filterReplica, len(spec.L1s))
@@ -178,7 +178,7 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 	if err := l.FanOut(consumers); err != nil {
 		return nil, err
 	}
-	orgCurves := shards.Curves()
+	orgCurves := org.Curves()
 
 	misses := make([]int64, len(spec.L1s))
 	var totalMisses int64
@@ -195,7 +195,7 @@ func ProfileHierJobs(l *trace.Log, spec HierSpec, jobs, decodeJobs int) (*HierCu
 		return nil, err
 	}
 	stop()
-	shards.PublishMetrics(reg, orgCurves)
+	org.PublishMetrics(reg, orgCurves)
 	publishHierGroupMetrics(reg, totalMisses, groups, len(spec.L1s)*len(spec.L2s))
 	return out, nil
 }
@@ -283,10 +283,7 @@ func ProfileSharedJobs(pl *trace.ProcLog, spec SharedSpec, jobs, decodeJobs int)
 	}
 
 	fams, slots := l2Families(spec.Block, spec.L2s)
-	workers := trace.ProfileWorkers(jobs)
-	if u := int64(len(spec.L1s)) * int64(len(fams)); int64(workers) > u {
-		workers = int(u)
-	}
+	workers := hierWorkers(jobs, len(spec.L1s), len(fams))
 	pool := make([]*sharedShardWorker, workers)
 	for w := range pool {
 		pool[w] = &sharedShardWorker{}

@@ -1,13 +1,12 @@
 package schedule
 
-// Property tests for the sharded profiling engine at the measurement API:
-// Env.ProfileJobs is purely a speed knob, so MeasureCurveOrgs and
-// MeasureHier must return byte-identical results for any worker count on
-// any graph. These run the full
-// record→profile path end to end (random pipelines and dags,
-// set-associative + FIFO organisations, a two-level grid), complementing
-// the trace/hierarchy-level equivalence tests that replay one shared log
-// under many worker counts.
+// Property test for the sharded hierarchy profiling engine at the
+// measurement API: Env.ProfileJobs is purely a speed knob, so MeasureHier
+// must return byte-identical results for any worker count on any graph.
+// It runs the full record→profile path end to end (random pipelines and
+// dags, a two-level grid with set-associative and FIFO levels),
+// complementing the hierarchy-level equivalence tests that replay one
+// shared log under many worker counts.
 
 import (
 	"math/rand"
@@ -19,74 +18,14 @@ import (
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/randgraph"
 	"streamsched/internal/sdf"
-	"streamsched/internal/trace"
 )
 
 // profileJobsVariants is the worker-count sweep: the one-worker
 // reference, the smallest genuinely-sharded pool, whatever this machine's
 // CPU count resolves to (the zero value's meaning), and a count past
-// every test grid's unit cap so the cap engages.
+// the test grid's unit cap so the cap engages.
 func profileJobsVariants() []int {
 	return []int{1, 2, runtime.NumCPU(), 1024}
-}
-
-// orgsAtJobs measures g once per worker count and returns the CurveResult
-// fields that profiling determines (the curve and organisation profiles).
-// Schedulers are deterministic, so the recorded traces are identical runs
-// and any divergence is the sharded engine's fault.
-func orgsAtJobs(t *testing.T, g *sdf.Graph, s Scheduler, env Env, specs []trace.OrgSpec, warm, meas int64, jobs int) (*trace.MissCurve, []*trace.OrgCurves) {
-	t.Helper()
-	env.ProfileJobs = jobs
-	cr, err := MeasureCurveOrgs(g, s, env, env.B, warm, meas, specs)
-	if err != nil {
-		t.Fatalf("%s MeasureCurveOrgs(jobs=%d): %v", s.Name(), jobs, err)
-	}
-	return cr.Curve, cr.Orgs
-}
-
-func TestPropProfileJobsOrgsInvariantOnRandomGraphs(t *testing.T) {
-	env := Env{M: 256, B: 16}
-	specs, _, err := trace.GridSpecs([]int64{512, 1024}, env.B, []int64{1, 2, 4, 0}, true)
-	if err != nil {
-		t.Fatalf("GridSpecs: %v", err)
-	}
-	seeds := int64(4)
-	if testing.Short() {
-		seeds = 2
-	}
-	for seed := int64(0); seed < seeds; seed++ {
-		rng := rand.New(rand.NewSource(700 + seed))
-		var g *sdf.Graph
-		var err error
-		scheds := []Scheduler{FlatTopo{}}
-		if seed%2 == 0 {
-			g, err = randgraph.RandomPipeline(rng, randgraph.PipelineSpec{
-				Nodes: 6 + rng.Intn(10), StateMin: 16, StateMax: 160, RateMax: 3,
-			})
-			scheds = append(scheds, PartitionedPipeline{})
-		} else {
-			g, err = randgraph.RandomLayeredDag(rng, randgraph.LayeredSpec{
-				Layers: 2 + rng.Intn(3), Width: 1 + rng.Intn(3),
-				StateMin: 16, StateMax: 128, ExtraEdges: 2,
-			})
-			scheds = append(scheds, PartitionedHomogeneous{})
-		}
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		for _, s := range scheds {
-			refCurve, refOrgs := orgsAtJobs(t, g, s, env, specs, 96, 384, 1)
-			for _, jobs := range profileJobsVariants()[1:] {
-				curve, orgs := orgsAtJobs(t, g, s, env, specs, 96, 384, jobs)
-				if !reflect.DeepEqual(curve, refCurve) {
-					t.Errorf("seed %d %s: jobs=%d miss curve differs from one worker", seed, s.Name(), jobs)
-				}
-				if !reflect.DeepEqual(orgs, refOrgs) {
-					t.Errorf("seed %d %s: jobs=%d organisation curves differ from one worker", seed, s.Name(), jobs)
-				}
-			}
-		}
-	}
 }
 
 func TestPropProfileJobsHierInvariantOnRandomGraphs(t *testing.T) {

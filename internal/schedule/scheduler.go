@@ -37,11 +37,13 @@ type Env struct {
 	// to the process-wide obs.Default(), which is itself nil — fully
 	// disabled — unless a CLI session or test installed one.
 	Metrics *obs.Registry
-	// ProfileJobs is the worker count the trace-profiling stages shard
-	// across (trace.ProfileOrgsJobs and the hierarchy equivalents): 0 —
-	// the zero value — uses one worker per CPU, 1 replays inline on the
-	// calling goroutine, larger values pin the count. Curves are
-	// byte-identical at every count, so this is purely a speed knob.
+	// ProfileJobs is the worker count the two-level and shared-L2
+	// profiling stages shard across (hierarchy.ProfileHierJobs and
+	// ProfileSharedJobs): 0 — the zero value — uses one worker per CPU, 1
+	// replays inline on the calling goroutine, larger values pin the
+	// count. Curves are byte-identical at every count, so this is purely
+	// a speed knob. Organisation profiling (MeasureCurve,
+	// MeasureCurveOrgs) always runs on one worker and ignores it.
 	ProfileJobs int
 	// Deprecated: ignored; decoding is one in-order pass.
 	DecodeJobs int

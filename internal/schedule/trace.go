@@ -119,7 +119,7 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	// single replay of the log.
 	stage = sp.Start("profile")
 	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
-	profiles, err := trace.ProfileOrgsJobs(log, specs, env.ProfileJobs, 1)
+	profiles, err := trace.ProfileOrgsJobs(log, specs, 1, 1)
 	stage.End()
 	if err != nil {
 		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)

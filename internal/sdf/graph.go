@@ -14,6 +14,7 @@ package sdf
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"streamsched/internal/ratio"
 )
@@ -53,7 +54,7 @@ var (
 	ErrMultiSink    = errors.New("sdf: graph must have exactly one sink")
 	ErrRateMismatch = errors.New("sdf: graph is not rate matched")
 	ErrBadRate      = errors.New("sdf: channel rates must be positive")
-	ErrBadState     = errors.New("sdf: state size must be non-negative")
+	ErrBadState     = errors.New("sdf: state sizes must be non-negative with a sum that fits in int64")
 	ErrBadNode      = errors.New("sdf: node id out of range")
 	ErrBadEdge      = errors.New("sdf: edge id out of range")
 )
@@ -173,6 +174,9 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	g.topo = topo
 	if err := g.solveRates(); err != nil {
+		return nil, err
+	}
+	if err := g.sumState(); err != nil {
 		return nil, err
 	}
 	g.computeShape()
@@ -404,12 +408,20 @@ func (g *Graph) computeShape() {
 			break
 		}
 	}
+}
+
+// sumState totals the module state sizes, rejecting a total past int64:
+// partitioning compares it against multiples of M, and a wrapped total
+// would read as a graph that fits.
+func (g *Graph) sumState() error {
 	for _, nd := range g.nodes {
-		g.totalState += nd.State
-		if nd.State > g.maxState {
-			g.maxState = nd.State
+		if nd.State > math.MaxInt64-g.totalState {
+			return fmt.Errorf("%w: summed state overflows at node %q", ErrBadState, nd.Name)
 		}
+		g.totalState += nd.State
+		g.maxState = max(g.maxState, nd.State)
 	}
+	return nil
 }
 
 // --- accessors ---

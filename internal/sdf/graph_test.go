@@ -3,6 +3,8 @@ package sdf
 import (
 	"bytes"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,6 +79,31 @@ func TestBuildRejectsNegativeState(t *testing.T) {
 	b.AddNode("x", -1)
 	if _, err := b.Build(); !errors.Is(err, ErrBadState) {
 		t.Errorf("err = %v, want ErrBadState", err)
+	}
+}
+
+// TestBuildRejectsStateOverflow: a summed module state past int64 would
+// wrap negative (two MaxInt64 nodes sum to -2) and read as a graph that
+// fits any cache. The largest total that fits is still accepted.
+func TestBuildRejectsStateOverflow(t *testing.T) {
+	b := NewBuilder("overflow")
+	x := b.AddNode("x", math.MaxInt64)
+	y := b.AddNode("y", math.MaxInt64)
+	b.Connect(x, y, 1, 1)
+	if g, err := b.Build(); !errors.Is(err, ErrBadState) {
+		t.Errorf("err = %v, want ErrBadState (graph %v)", err, g)
+	}
+
+	b = NewBuilder("fits")
+	x = b.AddNode("x", math.MaxInt64-1)
+	y = b.AddNode("y", 1)
+	b.Connect(x, y, 1, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	if g.TotalState() != math.MaxInt64 || g.MaxState() != math.MaxInt64-1 {
+		t.Errorf("state totals = %d,%d", g.TotalState(), g.MaxState())
 	}
 }
 
@@ -444,6 +471,49 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(js)); !errors.Is(err, ErrCyclic) {
 		t.Errorf("err = %v, want ErrCyclic", err)
 	}
+}
+
+// FuzzReadJSON: the daemon's graph parser never panics, every graph it
+// accepts has a non-negative total state and positive repetitions, and
+// WriteJSON→ReadJSON reproduces the same nodes, edges and repetitions.
+func FuzzReadJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"rt","nodes":[{"name":"src","state":0},{"name":"f","state":7},{"name":"sink","state":0}],"edges":[{"from":0,"to":1,"out":2,"in":1},{"from":1,"to":2,"out":1,"in":4}]}`,
+		`{"name":"overflow","nodes":[{"name":"a","state":9223372036854775807},{"name":"b","state":9223372036854775807}],"edges":[{"from":0,"to":1,"out":1,"in":1}]}`,
+		`{"name":"fits","nodes":[{"name":"a","state":9223372036854775806},{"name":"b","state":1}],"edges":[{"from":0,"to":1,"out":1,"in":1}]}`,
+		`{"name":"rates","nodes":[{"name":"a","state":1},{"name":"b","state":1},{"name":"c","state":1}],"edges":[{"from":0,"to":1,"out":4611686018427387904,"in":3},{"from":1,"to":2,"out":5,"in":4611686018427387903}]}`,
+		`{"name":"x","nodes":[{"name":"s","state":0},{"name":"a","state":1},{"name":"t","state":0}],"edges":[{"from":0,"to":1,"out":1,"in":1},{"from":1,"to":0,"out":1,"in":1},{"from":1,"to":2,"out":1,"in":1}]}`,
+		`{"nodes":[{"name":"solo","state":-1}]}`,
+		`{"nodes":[{"name":"a"}],"edges":[{"from":0,"to":7,"out":1,"in":1}]}`,
+		`{nope`,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data string) {
+		g, err := ReadJSON(strings.NewReader(data))
+		if err != nil {
+			return
+		}
+		if g.TotalState() < 0 {
+			t.Fatalf("accepted graph with total state %d", g.TotalState())
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			if r := g.Repetitions(NodeID(v)); r <= 0 {
+				t.Fatalf("node %d: repetitions %d", v, r)
+			}
+		}
+		var buf bytes.Buffer
+		if err := g.WriteJSON(&buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		g2, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-read of a written graph: %v", err)
+		}
+		if !reflect.DeepEqual(g2.nodes, g.nodes) || !reflect.DeepEqual(g2.edges, g.edges) || !reflect.DeepEqual(g2.reps, g.reps) {
+			t.Fatalf("round trip differs:\n%v\n%v", g, g2)
+		}
+	})
 }
 
 func TestWriteDOT(t *testing.T) {

@@ -17,8 +17,7 @@
 //     that gives up still leaves a warm cache behind;
 //   - a bounded worker pool: at most Config.Jobs computations run
 //     concurrently (the rest queue on the pool semaphore), keeping a
-//     burst of distinct cold requests from oversubscribing the CPUs that
-//     the profiling engine's own ProfileJobs shards want.
+//     burst of distinct cold requests from oversubscribing the CPUs.
 //
 // Separating pure planning/profiling (internal/schedule — stateless,
 // deterministic) from process-lifetime state (this package + the cache)
@@ -77,11 +76,8 @@ type Config struct {
 	// Jobs bounds concurrent computations (the worker pool). 0 or
 	// negative means one per CPU; streamschedd rejects a negative flag.
 	Jobs int
-	// ProfileJobs is schedule.Env.ProfileJobs for each computation: how
-	// many workers the profiling engine shards one request across.
-	// Default 1 (one worker, inline) — under concurrent load the
-	// request-level pool is the better parallelism axis; raise it for big
-	// single profiles on an idle daemon. Negative means one per CPU.
+	// Deprecated: ignored; the daemon profiles one fully-associative
+	// organisation, which runs on one worker.
 	ProfileJobs int
 	// Deprecated: ignored; decoding is one in-order pass.
 	DecodeJobs int
@@ -147,9 +143,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ProfileJobs == 0 {
-		cfg.ProfileJobs = 1
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 60 * time.Second
@@ -433,7 +426,7 @@ func (s *Server) computePlan(req *PlanRequest, g *sdf.Graph, key plancache.Key) 
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	plan, err := sched.Prepare(g, env)
 	if err != nil {
 		return nil, fmt.Errorf("plan %s: %w", sched.Name(), err)
@@ -466,7 +459,7 @@ func (s *Server) computeProfile(req *ProfileRequest, g *sdf.Graph, key plancache
 	if err != nil {
 		return nil, err
 	}
-	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg, ProfileJobs: s.cfg.ProfileJobs}
+	env := schedule.Env{M: req.M, B: req.B, Metrics: s.reg}
 	cr, err := schedule.MeasureCurve(g, sched, env, req.B, req.Warm, req.Measure)
 	if err != nil {
 		return nil, fmt.Errorf("profile %s: %w", sched.Name(), err)
@@ -526,7 +519,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache_bytes":   s.cache.Bytes(),
 		"cache_budget":  s.cache.Budget(),
 		"jobs":          s.cfg.Jobs,
-		"profile_jobs":  s.cfg.ProfileJobs,
 		"cache_hits":    snap.Counters["cache.hits"],
 		"cache_misses":  snap.Counters["cache.misses"],
 		"evictions":     snap.Counters["cache.evictions"],

@@ -27,7 +27,7 @@ package trace
 // access.
 type AssocProfiler struct {
 	sets int64
-	bank *assocBank // the whole bank: r=0, n=1
+	per  []setStack // per[set]
 }
 
 // assocListLimit is the per-set stack size beyond which a list stack
@@ -41,69 +41,27 @@ type setStack struct {
 	mat  *Profiler // non-nil once upgraded
 }
 
-// assocBank holds the per-set LRU stacks of the sets congruent to r mod
-// n, stored densely in ascending set order. An AssocProfiler holds the
-// whole bank (r=0, n=1); OrgShards strides each spec's bank across its
-// workers. Every stack is the one the whole bank would hold, so strided
-// curves reassemble exactly.
-type assocBank struct {
-	r   int64
-	per []setStack // per[k] is set k*n + r
-}
-
-// newAssocBank builds the residue-r-mod-n slice of a sets-set bank; nil
-// when no set falls in the class.
-func newAssocBank(sets, r, n int64) *assocBank {
-	ls := localSets(sets, r, n)
-	if ls == 0 {
-		return nil
-	}
-	a := &assocBank{r: r, per: make([]setStack, ls)}
-	for i := range a.per {
-		a.per[i].list = &listStack{}
-	}
-	return a
-}
-
-func (a *assocBank) resetCounts() {
-	for i := range a.per {
-		a.per[i].resetCounts()
-	}
-}
-
-// timelineOps returns the Fenwick-timeline operation count across the
-// sets that upgraded to the order-statistics structure; sets still on
-// the list stack contribute nothing (their work is array scans).
-func (a *assocBank) timelineOps() int64 {
-	var ops int64
-	for i := range a.per {
-		if m := a.per[i].mat; m != nil {
-			ops += m.TimelineOps()
-		}
-	}
-	return ops
-}
-
-// assocCurve reassembles a sets-set AssocCurve from per-set stacks in
-// set order; bank(set) names the bank of stride n holding each set.
-func assocCurve(sets, n int64, bank func(set int64) *assocBank) *AssocCurve {
-	c := &AssocCurve{Sets: sets, per: make([]*MissCurve, sets)}
-	for set := int64(0); set < sets; set++ {
-		mc := bank(set).per[set/n].curve()
-		c.per[set] = mc
-		c.Accesses += mc.Accesses
-		c.Cold += mc.Cold
-	}
-	return c
-}
-
 // NewAssocProfiler returns a profiler for the given number of sets.
 // It panics if sets < 1 (programmer error, like an invalid cache config).
 func NewAssocProfiler(sets int64) *AssocProfiler {
 	if sets < 1 {
 		panic("trace: AssocProfiler needs at least one set")
 	}
-	return &AssocProfiler{sets: sets, bank: newAssocBank(sets, 0, 1)}
+	p := &AssocProfiler{sets: sets, per: make([]setStack, sets)}
+	for i := range p.per {
+		p.per[i].list = &listStack{}
+	}
+	return p
+}
+
+// setIndex is cachesim's placement, blk mod sets, floored so negative
+// block ids land in [0, sets).
+func setIndex(blk, sets int64) int64 {
+	set := blk % sets
+	if set < 0 {
+		set += sets
+	}
+	return set
 }
 
 // Sets returns the number of sets the profiler shards into.
@@ -116,14 +74,13 @@ func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
 // set and feeds the set's stack the block's within-set id, so each
 // per-set stack sees a dense id space regardless of the stride the set
 // selection induces.
-func (p *AssocProfiler) Touch(blk int64) {
-	set := blk % p.sets
-	if set < 0 {
-		set += p.sets
-	}
+func (p *AssocProfiler) Touch(blk int64) { p.touchSet(setIndex(blk, p.sets), blk) }
+
+// touchSet feeds blk, already placed in set, to that set's stack.
+func (p *AssocProfiler) touchSet(set, blk int64) {
 	// (blk - set) is an exact multiple of sets, so this floored division is
 	// collision-free even for negative block ids.
-	p.bank.per[set].touch((blk - set) / p.sets)
+	p.per[set].touch((blk - set) / p.sets)
 }
 
 func (s *setStack) touch(blk int64) {
@@ -170,16 +127,36 @@ func (s *setStack) curve() *MissCurve {
 }
 
 // TimelineOps returns the total Fenwick-timeline operation count across
-// the sets that upgraded to the order-statistics structure.
-func (p *AssocProfiler) TimelineOps() int64 { return p.bank.timelineOps() }
+// the sets that upgraded to the order-statistics structure; sets still on
+// the list stack contribute nothing (their work is array scans).
+func (p *AssocProfiler) TimelineOps() int64 {
+	var ops int64
+	for i := range p.per {
+		if m := p.per[i].mat; m != nil {
+			ops += m.TimelineOps()
+		}
+	}
+	return ops
+}
 
 // ResetCounts zeroes every set's histogram while keeping stack state,
 // mirroring Profiler.ResetCounts for the warmup-window protocol.
-func (p *AssocProfiler) ResetCounts() { p.bank.resetCounts() }
+func (p *AssocProfiler) ResetCounts() {
+	for i := range p.per {
+		p.per[i].resetCounts()
+	}
+}
 
 // Curve freezes the per-set histograms into an AssocCurve.
 func (p *AssocProfiler) Curve() *AssocCurve {
-	return assocCurve(p.sets, 1, func(int64) *assocBank { return p.bank })
+	c := &AssocCurve{Sets: p.sets, per: make([]*MissCurve, p.sets)}
+	for set := range p.per {
+		mc := p.per[set].curve()
+		c.per[set] = mc
+		c.Accesses += mc.Accesses
+		c.Cold += mc.Cold
+	}
+	return c
 }
 
 // listStack is Mattson's algorithm on an explicit move-to-front array:

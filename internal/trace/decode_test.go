@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -236,6 +237,53 @@ func FuzzAppendVarintDeltas(f *testing.F) {
 		}
 		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
 			t.Fatalf("input %x base %d: decoded %v, binary.Varint %v", buf, base, got, want)
+		}
+	})
+}
+
+// FuzzDecodeChunkBlocks checks the whole-chunk decoder against a
+// per-access binary.Varint reference with the sealed-count check: a chunk
+// that encodes exactly its sealed access count decodes to exactly the
+// reference ids, and corrupt, truncated or padded chunks give a
+// *chunkError naming the chunk, never a panic or a partial result. The
+// destination is reused both empty and holding stale entries.
+func FuzzDecodeChunkBlocks(f *testing.F) {
+	f.Add([]byte{0x02, 0x04, 0x01}, int64(10), uint16(3))                                          // valid
+	f.Add([]byte{}, int64(7), uint16(0))                                                           // empty chunk
+	f.Add([]byte{0x02, 0x04}, int64(0), uint16(3))                                                 // fewer accesses than sealed
+	f.Add([]byte{0x02, 0x04, 0x01, 0x00}, int64(0), uint16(3))                                     // padded past the sealed count
+	f.Add([]byte{0x02, 0x80}, int64(0), uint16(2))                                                 // truncated varint
+	f.Add([]byte{0x81, 0x01, 0x7f, 0x03}, int64(-5), uint16(3))                                    // mixed widths
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, int64(0), uint16(1)) // overflow
+	f.Fuzz(func(t *testing.T, buf []byte, base int64, n uint16) {
+		var want []int64
+		prev, rest := base, buf
+		for len(rest) > 0 && len(want) < int(n) {
+			delta, k := binary.Varint(rest)
+			if k <= 0 {
+				break
+			}
+			prev += delta
+			want = append(want, prev)
+			rest = rest[k:]
+		}
+		valid := len(rest) == 0 && len(want) == int(n)
+		meta := chunkMeta{base: base, n: int64(n), bytes: int64(len(buf)), off: -1}
+		for _, dst := range [][]int64{nil, make([]int64, 5, 8)} {
+			got, err := decodeChunkBlocks(dst, buf, meta, 3)
+			if valid {
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("valid chunk %x base %d n %d: decoded %v, %v; want %v", buf, base, n, got, err, want)
+				}
+				continue
+			}
+			var ce *chunkError
+			if !errors.As(err, &ce) || got != nil {
+				t.Fatalf("bad chunk %x base %d n %d: decoded %v, err %v; want a *chunkError", buf, base, n, got, err)
+			}
+			if ce.chunk != 3 || ce.spilled || ce.off < 0 || ce.off > int64(len(buf)) {
+				t.Fatalf("bad chunk %x n %d: chunkError %+v", buf, n, ce)
+			}
 		}
 	})
 }

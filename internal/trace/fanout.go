@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -25,11 +26,11 @@ import (
 // chunk at a time, and downstream at most consumers*(fanQueueDepth+1)
 // batches are buffered, all recycled through a pool.
 //
-// Parallelism comes from consumers that ignore the accesses they do not
-// own (the shard profilers route by set index). Window semantics are
-// Log.ForEachWindowed's, replicated per consumer: ResetCounts fires
-// exactly when the measured window begins, or once at the end when the
-// window mark sits at or past the last access.
+// Parallelism comes from consumers that each own part of the work (the
+// hierarchy profilers' workers feed only the units they own). Window
+// semantics are Log.ForEachWindowed's, replicated per consumer:
+// ResetCounts fires exactly when the measured window begins, or once at
+// the end when the window mark sits at or past the last access.
 
 const (
 	// fanBatchSize is the number of decoded accesses per broadcast batch:
@@ -44,8 +45,8 @@ const (
 // A WindowedConsumer consumes one windowed replay of a trace on a single
 // goroutine: Touch receives every access in recorded order, and
 // ResetCounts is invoked exactly once, when the measured window begins
-// (warm-then-reset-counts, like Log.ForEachWindowed). The shard profilers
-// implement it.
+// (warm-then-reset-counts, like Log.ForEachWindowed). OrgProfiler and the
+// hierarchy profilers' workers implement it.
 type WindowedConsumer interface {
 	ResetCounts()
 	Touch(blk int64)
@@ -313,4 +314,15 @@ func (l *Log) fanDecode(pl *ProcLog, chans []chan *fanBatch, fm fanMetrics) erro
 		errC <- err
 	}()
 	return <-errC
+}
+
+// ProfileWorkers resolves a jobs knob to a worker count: <= 0 means one
+// worker per available CPU (GOMAXPROCS), larger values are taken as
+// given. Shared by the hierarchy ProfileJobs entry points and
+// schedule.Env.
+func ProfileWorkers(jobs int) int {
+	if jobs <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return jobs
 }

@@ -20,7 +20,7 @@ import "sort"
 // hits do not reorder the queue.
 type FIFOProfiler struct {
 	sets     int64
-	banks    []*fifoBank // one whole bank (r=0, n=1) per way count, ascending
+	banks    []*fifoBank // one per way count, ascending
 	accesses int64
 	cold     int64
 
@@ -30,16 +30,12 @@ type FIFOProfiler struct {
 	seenSparse map[int64]struct{}
 }
 
-// fifoBank is one way count's per-set circular buffers for the sets
-// congruent to r mod n, stored densely in ascending set order. A
-// FIFOProfiler holds whole banks (r=0, n=1); OrgShards strides each
-// bank across its workers. A row's state is the same whichever bank
-// holds it, so strided miss counts merge by sum.
+// fifoBank is one way count's per-set circular buffers, in set order.
+// FIFOProfiler and OrgProfiler hold one per replayed way count.
 type fifoBank struct {
-	r      int64
 	ways   int64
-	blk    []int64 // local sets * ways entries, -1 = empty
-	head   []int32 // per local set: next insertion slot
+	blk    []int64 // sets * ways entries, -1 = empty
+	head   []int32 // per set: next insertion slot
 	misses int64
 	// resident is an O(1) membership index, used instead of scanning the
 	// row when ways exceeds fifoScanLimit (large fully-associative FIFOs
@@ -52,26 +48,9 @@ type fifoBank struct {
 // to a hash set.
 const fifoScanLimit = 16
 
-// newFIFOBank builds the residue-r-mod-n slice of a sets-set FIFO bank
-// with the given way count; nil when no set falls in the class.
-func newFIFOBank(sets, r, n, ways int64) *fifoBank {
-	ls := localSets(sets, r, n)
-	if ls == 0 {
-		return nil
-	}
-	f := &fifoBank{r: r, ways: ways, blk: make([]int64, ls*ways), head: make([]int32, ls)}
-	for j := range f.blk {
-		f.blk[j] = -1
-	}
-	if ways > fifoScanLimit {
-		f.resident = make(map[int64]struct{}, ls*ways)
-	}
-	return f
-}
-
-// uniqueWays returns the distinct way counts in ascending order — the
-// order FIFOCurve reports them in.
-func uniqueWays(ways []int64) []int64 {
+// newFIFOBanks builds one sets-set bank per distinct way count, in
+// ascending way order — the order FIFOCurve reports them in.
+func newFIFOBanks(sets int64, ways []int64) []*fifoBank {
 	uniq := make([]int64, 0, len(ways))
 	seen := make(map[int64]bool, len(ways))
 	for _, w := range ways {
@@ -81,7 +60,18 @@ func uniqueWays(ways []int64) []int64 {
 		}
 	}
 	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
-	return uniq
+	banks := make([]*fifoBank, len(uniq))
+	for i, w := range uniq {
+		f := &fifoBank{ways: w, blk: make([]int64, sets*w), head: make([]int32, sets)}
+		for j := range f.blk {
+			f.blk[j] = -1
+		}
+		if w > fifoScanLimit {
+			f.resident = make(map[int64]struct{}, sets*w)
+		}
+		banks[i] = f
+	}
+	return banks
 }
 
 // NewFIFOProfiler returns a replayer for the given set count and way
@@ -99,12 +89,7 @@ func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
 			panic("trace: FIFOProfiler way counts must be >= 1")
 		}
 	}
-	uniq := uniqueWays(ways)
-	p := &FIFOProfiler{sets: sets, banks: make([]*fifoBank, len(uniq))}
-	for i, w := range uniq {
-		p.banks[i] = newFIFOBank(sets, 0, 1, w)
-	}
-	return p
+	return &FIFOProfiler{sets: sets, banks: newFIFOBanks(sets, ways)}
 }
 
 // Sets returns the number of sets the replayer shards into.
@@ -119,18 +104,15 @@ func (p *FIFOProfiler) Touch(blk int64) {
 	if p.firstEver(blk) {
 		p.cold++
 	}
-	set := blk % p.sets
-	if set < 0 {
-		set += p.sets
-	}
+	set := setIndex(blk, p.sets)
 	for _, f := range p.banks {
 		f.touch(set, blk)
 	}
 }
 
-// touch feeds one access to local row k: the set k*n + r.
-func (f *fifoBank) touch(k, blk int64) {
-	base := k * f.ways
+// touch feeds one access, already placed in set, to that set's row.
+func (f *fifoBank) touch(set, blk int64) {
+	base := set * f.ways
 	row := f.blk[base : base+f.ways]
 	if f.resident != nil {
 		if _, ok := f.resident[blk]; ok {
@@ -144,7 +126,7 @@ func (f *fifoBank) touch(k, blk int64) {
 		}
 	}
 	f.misses++
-	h := f.head[k]
+	h := f.head[set]
 	if f.resident != nil {
 		if victim := row[h]; victim >= 0 {
 			delete(f.resident, victim)
@@ -156,7 +138,7 @@ func (f *fifoBank) touch(k, blk int64) {
 	if int64(h) == f.ways {
 		h = 0
 	}
-	f.head[k] = h
+	f.head[set] = h
 }
 
 func (p *FIFOProfiler) firstEver(blk int64) bool {
@@ -204,15 +186,19 @@ func (p *FIFOProfiler) ResetCounts() {
 }
 
 // Curve freezes the replayed counts into a FIFOCurve.
-func (p *FIFOProfiler) Curve() *FIFOCurve {
+func (p *FIFOProfiler) Curve() *FIFOCurve { return fifoCurve(p.sets, p.accesses, p.cold, p.banks) }
+
+// fifoCurve freezes banks' miss counts into a FIFOCurve with the given
+// counted totals.
+func fifoCurve(sets, accesses, cold int64, banks []*fifoBank) *FIFOCurve {
 	c := &FIFOCurve{
-		Sets:     p.sets,
-		Accesses: p.accesses,
-		Cold:     p.cold,
-		ways:     make([]int64, len(p.banks)),
-		misses:   make([]int64, len(p.banks)),
+		Sets:     sets,
+		Accesses: accesses,
+		Cold:     cold,
+		ways:     make([]int64, len(banks)),
+		misses:   make([]int64, len(banks)),
 	}
-	for i, f := range p.banks {
+	for i, f := range banks {
 		c.ways[i] = f.ways
 		c.misses[i] = f.misses
 	}

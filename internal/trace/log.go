@@ -523,7 +523,7 @@ func decodeChunkBlocks(dst []int64, buf []byte, meta chunkMeta, idx int) ([]int6
 	if int64(cap(dst)) < meta.n {
 		dst = make([]int64, 0, meta.n)
 	}
-	out, rest, _, err := appendVarintDeltas(dst[:0:len(dst)+int(meta.n)], buf, meta.base)
+	out, rest, _, err := appendVarintDeltas(dst[:0:meta.n], buf, meta.base)
 	if err != nil {
 		return nil, &chunkError{chunk: idx, off: int64(len(buf) - len(rest)), spilled: meta.off >= 0, msg: "corrupt varint"}
 	}

@@ -40,39 +40,6 @@ func BenchmarkProfileOrgs(b *testing.B) {
 	}
 }
 
-// benchOrgSpecs is the E12 grid shape the sharded benchmarks profile.
-func benchOrgSpecs() []trace.OrgSpec {
-	return []trace.OrgSpec{
-		{Sets: 1, FIFOWays: []int64{32, 64, 128}},
-		{Sets: 4, FIFOWays: []int64{8}},
-		{Sets: 8, FIFOWays: []int64{8, 4}},
-		{Sets: 16, FIFOWays: []int64{8, 4}},
-		{Sets: 32, FIFOWays: []int64{4, 1}},
-		{Sets: 64, FIFOWays: []int64{1}},
-		{Sets: 128, FIFOWays: []int64{1}},
-	}
-}
-
-// BenchmarkProfileOrgsSharded is BenchmarkProfileOrgs at one worker per
-// CPU: same log, same seven organisations, fed by the in-order decoder
-// goroutine. At GOMAXPROCS=1 it is BenchmarkProfileOrgs; on more cores
-// the paired diff against it is the sharding's speedup or loss.
-func BenchmarkProfileOrgsSharded(b *testing.B) {
-	stream := benchStream(400000, 512)
-	log := trace.NewLog()
-	for _, blk := range stream {
-		log.RecordBlock(blk)
-	}
-	specs := benchOrgSpecs()
-	jobs := trace.ProfileWorkers(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ProfileOrgsJobs(log, specs, jobs, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAssocProfiler measures the per-set hybrid stack alone at a
 // realistic shard count.
 func BenchmarkAssocProfiler(b *testing.B) {

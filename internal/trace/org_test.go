@@ -55,11 +55,11 @@ func simulateMisses(t *testing.T, cfg cachesim.Config, stream []int64, warm int)
 	return c.Stats().Misses
 }
 
-// TestOrgCurvesMatchCachesim cross-validates ProfileOrgsJobs, at one and
-// two workers, against the cache simulator on random streams: for every
-// (capacity, ways, policy) geometry the one-pass curves must equal the
-// simulator's miss count exactly, including the direct-mapped (Ways=1)
-// and Capacity==Block edge cases.
+// TestOrgCurvesMatchCachesim cross-validates ProfileOrgsJobs against the
+// cache simulator on random streams: for every (capacity, ways, policy)
+// geometry the one-pass curves must equal the simulator's miss count
+// exactly, including the direct-mapped (Ways=1) and Capacity==Block edge
+// cases.
 func TestOrgCurvesMatchCachesim(t *testing.T) {
 	const block = 16
 	type geom struct {
@@ -112,38 +112,36 @@ func TestOrgCurvesMatchCachesim(t *testing.T) {
 			}
 			specs[idx].FIFOWays = append(specs[idx].FIFOWays, ways)
 		}
-		for _, jobs := range []int{1, 2} {
-			curves, err := trace.ProfileOrgsJobs(log, specs, jobs, 1)
-			if err != nil {
-				t.Fatalf("ProfileOrgsJobs(jobs=%d): %v", jobs, err)
+		curves, err := trace.ProfileOrgsJobs(log, specs, 1, 1)
+		if err != nil {
+			t.Fatalf("ProfileOrgsJobs: %v", err)
+		}
+
+		for _, g := range geoms {
+			sets, _ := trace.SetsFor(g.capacity, block, g.ways)
+			ways := g.ways
+			if ways == 0 {
+				ways = g.capacity / block
+			}
+			oc := curves[specIdx[sets]]
+
+			lruCfg := cachesim.Config{Capacity: g.capacity, Block: block, Ways: int(g.ways)}
+			wantLRU := simulateMisses(t, lruCfg, stream, warm)
+			if got := oc.LRU.Misses(ways); got != wantLRU {
+				t.Errorf("seed %d cap=%d ways=%d LRU: curve %d, cachesim %d",
+					seed, g.capacity, g.ways, got, wantLRU)
 			}
 
-			for _, g := range geoms {
-				sets, _ := trace.SetsFor(g.capacity, block, g.ways)
-				ways := g.ways
-				if ways == 0 {
-					ways = g.capacity / block
-				}
-				oc := curves[specIdx[sets]]
-
-				lruCfg := cachesim.Config{Capacity: g.capacity, Block: block, Ways: int(g.ways)}
-				wantLRU := simulateMisses(t, lruCfg, stream, warm)
-				if got := oc.LRU.Misses(ways); got != wantLRU {
-					t.Errorf("seed %d jobs %d cap=%d ways=%d LRU: curve %d, cachesim %d",
-						seed, jobs, g.capacity, g.ways, got, wantLRU)
-				}
-
-				fifoCfg := lruCfg
-				fifoCfg.Policy = cachesim.FIFO
-				wantFIFO := simulateMisses(t, fifoCfg, stream, warm)
-				got, ok := oc.FIFO.Misses(ways)
-				if !ok {
-					t.Fatalf("seed %d jobs %d cap=%d ways=%d: FIFO way count not replayed", seed, jobs, g.capacity, g.ways)
-				}
-				if got != wantFIFO {
-					t.Errorf("seed %d jobs %d cap=%d ways=%d FIFO: curve %d, cachesim %d",
-						seed, jobs, g.capacity, g.ways, got, wantFIFO)
-				}
+			fifoCfg := lruCfg
+			fifoCfg.Policy = cachesim.FIFO
+			wantFIFO := simulateMisses(t, fifoCfg, stream, warm)
+			got, ok := oc.FIFO.Misses(ways)
+			if !ok {
+				t.Fatalf("seed %d cap=%d ways=%d: FIFO way count not replayed", seed, g.capacity, g.ways)
+			}
+			if got != wantFIFO {
+				t.Errorf("seed %d cap=%d ways=%d FIFO: curve %d, cachesim %d",
+					seed, g.capacity, g.ways, got, wantFIFO)
 			}
 		}
 	}

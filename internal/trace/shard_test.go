@@ -3,7 +3,6 @@ package trace
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -60,79 +59,95 @@ func shardSpecPool() [][]OrgSpec {
 	}
 }
 
-// TestProfileOrgsJobsMatchesSequential is the shard router's core
-// property: for random traces and spec grids, the curves must be
-// byte-identical to the one-worker pass at every worker count — 2, 3,
-// NumCPU, and past the unit cap — spilled or in-memory, and the trace
-// must still be decoded exactly once per pass.
+// standaloneOrgCurves profiles each spec with its own AssocProfiler and
+// FIFOProfiler, one windowed replay per profiler — the reference the
+// one-pass OrgProfiler must reproduce exactly, FIFO Accesses/Cold totals
+// included.
+func standaloneOrgCurves(t *testing.T, l *Log, specs []OrgSpec) []*OrgCurves {
+	t.Helper()
+	out := make([]*OrgCurves, len(specs))
+	for i, sp := range specs {
+		a := NewAssocProfiler(sp.Sets)
+		if err := l.ForEachWindowed(a.ResetCounts, a.Touch); err != nil {
+			t.Fatal(err)
+		}
+		out[i] = &OrgCurves{Spec: sp, LRU: a.Curve()}
+		if len(sp.FIFOWays) > 0 {
+			f := NewFIFOProfiler(sp.Sets, sp.FIFOWays)
+			if err := l.ForEachWindowed(f.ResetCounts, f.Touch); err != nil {
+				t.Fatal(err)
+			}
+			out[i].FIFO = f.Curve()
+		}
+	}
+	return out
+}
+
+// TestProfileOrgsJobsMatchesSequential: for random traces and spec
+// grids, spilled or in-memory, ProfileOrgsJobs returns the standalone
+// profilers' curves whatever jobs value it is given, decodes the trace
+// exactly once per pass, and runs on one worker.
 func TestProfileOrgsJobsMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	jobsList := []int{2, 3, runtime.NumCPU(), 0, 1024}
-	trials := 2
-	if testing.Short() {
-		trials = 1
-	}
-	for trial := 0; trial < trials; trial++ {
-		for _, specs := range shardSpecPool() {
-			for _, spill := range []bool{false, true} {
-				l := randomShardLog(t, rng, 3000+rng.Intn(2000), spill)
-				want, err := ProfileOrgsJobs(l, specs, 1, 1)
+	for _, specs := range shardSpecPool() {
+		for _, spill := range []bool{false, true} {
+			l := randomShardLog(t, rng, 3000+rng.Intn(2000), spill)
+			reg := obs.NewRegistry()
+			l.SetMetrics(reg)
+			want := standaloneOrgCurves(t, l, specs)
+			for _, jobs := range []int{0, 1, 2, 1024} {
+				before := l.Replays()
+				got, err := ProfileOrgsJobs(l, specs, jobs, 1)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("jobs=%d: %v", jobs, err)
 				}
-				for _, jobs := range jobsList {
-					before := l.Replays()
-					got, err := ProfileOrgsJobs(l, specs, jobs, 1)
-					if err != nil {
-						t.Fatalf("jobs=%d: %v", jobs, err)
-					}
-					if l.Replays() != before+1 {
-						t.Fatalf("jobs=%d: %d replays for one pass", jobs, l.Replays()-before)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d specs %v spill=%v jobs=%d: sharded curves differ from one worker", trial, specs, spill, jobs)
-					}
+				if l.Replays() != before+1 {
+					t.Fatalf("jobs=%d: %d replays for one pass", jobs, l.Replays()-before)
 				}
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("specs %v spill=%v jobs=%d: curves differ from the standalone profilers", specs, spill, jobs)
 				}
+			}
+			if w := reg.Snapshot().Gauges["profile.shard.workers"]; w != 1 {
+				t.Fatalf("profile.shard.workers = %d, want 1", w)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
 }
 
-// TestOrgFIFOMatchesFIFOProfiler pins the FIFO half of the merge against
-// the standalone FIFOProfiler the hierarchy's L2 groups use: the same
-// FIFOCurve — misses, and the Accesses/Cold totals OrgShards takes from
-// the LRU curve — at one worker and at several.
+// TestOrgFIFOMatchesFIFOProfiler pins the FIFO half against the
+// standalone FIFOProfiler the hierarchy's L2 groups use: the same
+// FIFOCurve — misses, and the Accesses/Cold totals OrgProfiler takes from
+// the LRU curve.
 func TestOrgFIFOMatchesFIFOProfiler(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, specs := range shardSpecPool() {
 		l := randomShardLog(t, rng, 4000, false)
-		for _, jobs := range []int{1, 3} {
-			curves, err := ProfileOrgsJobs(l, specs, jobs, 1)
-			if err != nil {
+		curves, err := ProfileOrgsJobs(l, specs, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sp := range specs {
+			if len(sp.FIFOWays) == 0 {
+				continue
+			}
+			p := NewFIFOProfiler(sp.Sets, sp.FIFOWays)
+			if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
 				t.Fatal(err)
 			}
-			for i, sp := range specs {
-				if len(sp.FIFOWays) == 0 {
-					continue
-				}
-				p := NewFIFOProfiler(sp.Sets, sp.FIFOWays)
-				if err := l.ForEachWindowed(p.ResetCounts, p.Touch); err != nil {
-					t.Fatal(err)
-				}
-				if want := p.Curve(); !reflect.DeepEqual(curves[i].FIFO, want) {
-					t.Fatalf("jobs=%d spec %v: FIFO curve %+v, FIFOProfiler %+v", jobs, sp, curves[i].FIFO, want)
-				}
+			if want := p.Curve(); !reflect.DeepEqual(curves[i].FIFO, want) {
+				t.Fatalf("spec %v: FIFO curve %+v, FIFOProfiler %+v", sp, curves[i].FIFO, want)
 			}
 		}
 	}
 }
 
-// TestProfileOrgsJobsWindowEdges pins the window protocol's corners:
-// window at 0 (whole trace measured), window at Len (empty window), and
-// an empty log.
+// TestProfileOrgsJobsWindowEdges pins the window protocol's corners
+// against the standalone profilers: window at 0 (whole trace measured),
+// window at Len (empty window), and an empty log.
 func TestProfileOrgsJobsWindowEdges(t *testing.T) {
 	specs := []OrgSpec{{Sets: 1, FIFOWays: []int64{4}}, {Sets: 4}}
 	for _, mark := range []int{-1, 0, 50} { // -1: never mark (window 0)
@@ -146,106 +161,22 @@ func TestProfileOrgsJobsWindowEdges(t *testing.T) {
 		if mark == 50 {
 			l.MarkWindow()
 		}
-		want, err := ProfileOrgsJobs(l, specs, 1, 1)
+		got, err := ProfileOrgsJobs(l, specs, 1, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ProfileOrgsJobs(l, specs, 4, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("mark=%d: sharded curves differ", mark)
+		if want := standaloneOrgCurves(t, l, specs); !reflect.DeepEqual(got, want) {
+			t.Fatalf("mark=%d: curves differ from the standalone profilers", mark)
 		}
 	}
 
 	empty := NewLog()
-	want, err := ProfileOrgsJobs(empty, specs, 1, 1)
+	got, err := ProfileOrgsJobs(empty, specs, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ProfileOrgsJobs(empty, specs, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("empty log: sharded curves differ")
-	}
-}
-
-// TestProfileOrgsJobsMoreWorkersThanState covers worker counts exceeding
-// every structure count: extra shards own nothing and must stay inert.
-func TestProfileOrgsJobsMoreWorkersThanState(t *testing.T) {
-	l := NewLog()
-	for i := 0; i < 500; i++ {
-		l.RecordBlock(int64(i % 9))
-	}
-	l.MarkWindow()
-	for i := 0; i < 500; i++ {
-		l.RecordBlock(int64((i * 3) % 9))
-	}
-	specs := []OrgSpec{{Sets: 2, FIFOWays: []int64{2}}}
-	want, err := ProfileOrgsJobs(l, specs, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ProfileOrgsJobs(l, specs, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("sharded curves differ with idle workers")
-	}
-
-	// The adaptive heuristic must still tolerate direct construction with
-	// more workers than structures: extra shards own nothing and stay
-	// inert (the ProfileOrgsJobs entry point itself caps at OrgShardUnits,
-	// asserted in TestProfileOrgsJobsAdaptiveWorkerCap).
-	shards, err := NewOrgShards(specs, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cons := make([]WindowedConsumer, 64)
-	for i := range cons {
-		cons[i] = shards.Shard(i)
-	}
-	if err := l.FanOut(cons); err != nil {
-		t.Fatal(err)
-	}
-	if direct := shards.Curves(); !reflect.DeepEqual(direct, want) {
-		t.Fatal("directly-constructed oversized shard pool differs")
-	}
-}
-
-// TestProfileOrgsJobsAdaptiveWorkerCap asserts the adaptive jobs
-// heuristic: the chosen shard worker count (profile.shard.workers) is
-// capped at the grid's independent unit count, and the decode worker
-// gauge (profile.pipeline.decode.workers) reports the one in-order
-// decoder.
-func TestProfileOrgsJobsAdaptiveWorkerCap(t *testing.T) {
-	reg := obs.NewRegistry()
-	l := NewLog()
-	l.SetMetrics(reg)
-	for i := 0; i < 200; i++ {
-		l.RecordBlock(int64(i % 9))
-	}
-	l.MarkWindow()
-	for i := 0; i < 800; i++ {
-		l.RecordBlock(int64((i * 3) % 9))
-	}
-	specs := []OrgSpec{{Sets: 2, FIFOWays: []int64{2, 2}}} // 2 LRU sets + 2 FIFO rows = 4 units
-	if u := OrgShardUnits(specs); u != 4 {
-		t.Fatalf("OrgShardUnits = %d, want 4", u)
-	}
-	if _, err := ProfileOrgsJobs(l, specs, 64, 16); err != nil { // decodeJobs is ignored
-		t.Fatal(err)
-	}
-	snap := reg.Snapshot()
-	if w := snap.Gauges["profile.shard.workers"]; w != 4 {
-		t.Fatalf("profile.shard.workers = %d, want the 4-unit cap", w)
-	}
-	if w := snap.Gauges["profile.pipeline.decode.workers"]; w != 1 {
-		t.Fatalf("profile.pipeline.decode.workers = %d, want 1", w)
+	if want := standaloneOrgCurves(t, empty, specs); !reflect.DeepEqual(got, want) {
+		t.Fatal("empty log: curves differ from the standalone profilers")
 	}
 }
 
@@ -308,32 +239,31 @@ func TestFanOutMatchesForEachWindowed(t *testing.T) {
 	}
 }
 
-// TestProfileOrgsJobsConcurrentLogs hammers independent logs profiled in
+// TestProfileOrgsJobsConcurrentLogs profiles independent logs in
 // parallel from multiple goroutines — the Sweep shape — to give the race
-// detector interleavings beyond a single pipeline.
+// detector interleavings across concurrent passes.
 func TestProfileOrgsJobsConcurrentLogs(t *testing.T) {
 	specs := []OrgSpec{{Sets: 1, FIFOWays: []int64{8}}, {Sets: 8, FIFOWays: []int64{2}}}
+	logs := make([]*Log, 4)
+	wants := make([][]*OrgCurves, len(logs))
+	for g := range logs {
+		logs[g] = randomShardLog(t, rand.New(rand.NewSource(int64(g))), 4000, g%2 == 0)
+		wants[g] = standaloneOrgCurves(t, logs[g], specs)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := range logs {
 		wg.Add(1)
-		go func(seed int64) {
+		go func(g int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			l := randomShardLog(t, rng, 4000, seed%2 == 0)
-			want, err := ProfileOrgsJobs(l, specs, 1, 1)
+			got, err := ProfileOrgsJobs(logs[g], specs, 1, 1)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got, err := ProfileOrgsJobs(l, specs, 4, 1)
-			if err != nil {
-				t.Error(err)
-				return
+			if !reflect.DeepEqual(got, wants[g]) {
+				t.Error("curves differ under concurrent profiling")
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Error("sharded curves differ under concurrent profiling")
-			}
-		}(int64(g))
+		}(g)
 	}
 	wg.Wait()
 }

@@ -34,24 +34,24 @@
 //     bounded number of goroutines.
 //   - ProfileOrgsJobs drives any number of organisations' profilers from
 //     a single replay of a recorded log, so one trace per scheduler
-//     answers every (capacity, ways, policy) robustness question.
-//     OrgShards gives each of its workers exclusive ownership of a subset
-//     of every structure's sets (set placement is blk mod sets, so sets
-//     never interact), and FanOut streams one in-order decode of the log
-//     to them — inline for one worker, through refcounted batches and
-//     per-worker bounded channels for several. Worker counts follow one
-//     convention everywhere: 0 means one worker per CPU, n uses n workers.
+//     answers every (capacity, ways, policy) robustness question. It
+//     runs one OrgProfiler inline on the calling goroutine.
+//   - FanOut streams one in-order decode of the log to any number of
+//     consumers — inline for one, through refcounted batches and
+//     per-consumer bounded channels for several. The hierarchy
+//     profilers shard across it; ProfileWorkers resolves their worker
+//     counts (0 means one worker per CPU, n uses n workers).
 //
 // Three invariants hold on every path through this package, and tests pin
 // each:
 //
 //   - Exactness: every curve equals what the cachesim simulator reports at
 //     the corresponding configuration — profiling is a faster evaluation
-//     order, never an approximation. Results are byte-identical at any
-//     worker count (reassembled by set ownership, not merged
-//     numerically).
+//     order, never an approximation. Sharded hierarchy results are
+//     byte-identical at any worker count (each worker owns whole units
+//     and sees the full stream; nothing is merged numerically).
 //   - One replay: a profiling call pays exactly one decode of the log,
-//     however many organisations (or workers) it drives; Replays() is the
+//     however many organisations (or consumers) it drives; Replays() is the
 //     observable counter. Spilled logs stream chunk by chunk from disk, so
 //     resident memory is flat in the trace length.
 //   - Deterministic windows: ForEachWindowed and FanOut reset per-window
