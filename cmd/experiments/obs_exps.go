@@ -192,10 +192,10 @@ func replayBreakdown(g *sdf.Graph, s schedule.Scheduler, env schedule.Env, specs
 	log := trace.NewLog()
 	log.SetMetrics(reg)
 	defer log.Close()
-	// A cache big enough to hold the whole layout keeps the recording run
-	// cheap; the recorded stream is cache-independent anyway.
+	// The recorded stream is cache-independent, so the machine records
+	// without simulating a cache.
 	m, err := exec.NewMachine(g, exec.Config{
-		Cache:    cachesim.Config{Capacity: 1 << 20, Block: env.B},
+		Cache:    cachesim.Config{Block: env.B},
 		Caps:     plan.Caps,
 		Recorder: log,
 	})

@@ -43,21 +43,12 @@ func (b *Bank) Sets() int64 { return b.sets }
 // Ways returns the lines per set.
 func (b *Bank) Ways() int64 { return b.ways }
 
-// setOf maps a block to its set, collision-free for negative ids too.
-func (b *Bank) setOf(blk int64) int64 {
-	s := blk % b.sets
-	if s < 0 {
-		s += b.sets
-	}
-	return s
-}
-
 // Access looks blk up and applies the policy's hit behaviour (LRU moves it
 // to the front of its set; FIFO leaves the order alone). It reports whether
 // the block was resident; on a miss the bank is unchanged — the caller
 // decides whether to Insert.
 func (b *Bank) Access(blk int64) bool {
-	row := b.order[b.setOf(blk)]
+	row := b.order[setOf(blk, b.sets)]
 	for i, v := range row {
 		if v == blk {
 			if b.policy == LRU && i > 0 {
@@ -72,7 +63,7 @@ func (b *Bank) Access(blk int64) bool {
 
 // Contains reports residency without touching the policy order.
 func (b *Bank) Contains(blk int64) bool {
-	for _, v := range b.order[b.setOf(blk)] {
+	for _, v := range b.order[setOf(blk, b.sets)] {
 		if v == blk {
 			return true
 		}
@@ -84,7 +75,7 @@ func (b *Bank) Contains(blk int64) bool {
 // the set is full; it returns the victim, if any. The caller must ensure
 // blk is not already resident (Insert after a failed Access).
 func (b *Bank) Insert(blk int64) (victim int64, evicted bool) {
-	set := b.setOf(blk)
+	set := setOf(blk, b.sets)
 	row := b.order[set]
 	if int64(len(row)) < b.ways {
 		row = append(row, 0)
@@ -103,7 +94,7 @@ func (b *Bank) Insert(blk int64) (victim int64, evicted bool) {
 // entries, and reports whether it was resident. Exclusive hierarchies use
 // it to pull a block out of the victim level on promotion.
 func (b *Bank) Remove(blk int64) bool {
-	set := b.setOf(blk)
+	set := setOf(blk, b.sets)
 	row := b.order[set]
 	for i, v := range row {
 		if v == blk {

@@ -56,8 +56,9 @@ func (cfg Config) Lines() int64 { return cfg.Capacity / cfg.Block }
 
 // Sets returns the number of sets of a valid configuration: Lines()/Ways,
 // or 1 when fully associative (Ways == 0). The set a block maps to is
-// blk mod Sets(); the one-pass organisation profiler (internal/trace)
-// shards traces by the same index.
+// blk mod Sets(), floored so negative ids land in [0, Sets()); the
+// one-pass organisation profiler (internal/trace) shards traces by the
+// same index.
 func (cfg Config) Sets() int64 {
 	if cfg.Ways == 0 {
 		return 1
@@ -145,12 +146,19 @@ type Cache struct {
 	faTail  int32 // eviction end
 	faFree  []int32
 
-	// Set-associative state (Ways > 0).
+	// Set-associative state (Ways > 0). A set fills its slots in index
+	// order and only Flush empties them, so slots [0, saLen[set]) are the
+	// resident ones; no block id is reserved as an empty marker.
 	sets    int64
-	saBlk   [][]int64 // per set, slot -> block (-1 empty)
+	saBlk   [][]int64 // per set, slot -> block
+	saLen   []int     // per set, occupied slots
 	saDirty [][]bool
 	saAge   [][]int64 // per set, slot -> last-use (LRU) or insertion (FIFO) tick
 	tick    int64
+
+	// observeOnly marks a cache built by NewObserveOnly: accesses are
+	// counted and passed to the observer, and nothing is simulated.
+	observeOnly bool
 
 	seen  map[int64]struct{}
 	stats Stats
@@ -186,19 +194,28 @@ func New(cfg Config) (*Cache, error) {
 	} else {
 		c.sets = c.lines / int64(cfg.Ways)
 		c.saBlk = make([][]int64, c.sets)
+		c.saLen = make([]int, c.sets)
 		c.saDirty = make([][]bool, c.sets)
 		c.saAge = make([][]int64, c.sets)
 		for s := int64(0); s < c.sets; s++ {
-			blk := make([]int64, cfg.Ways)
-			for i := range blk {
-				blk[i] = -1
-			}
-			c.saBlk[s] = blk
+			c.saBlk[s] = make([]int64, cfg.Ways)
 			c.saDirty[s] = make([]bool, cfg.Ways)
 			c.saAge[s] = make([]int64, cfg.Ways)
 		}
 	}
 	return c, nil
+}
+
+// NewObserveOnly builds a cache that simulates nothing: every block
+// access is counted in Stats().Accesses and passed to the observer
+// (SetObserver), and no block is ever resident. A machine that only
+// records its access stream uses one, since the stream does not depend on
+// the cache (schedulers never read cache state).
+func NewObserveOnly(block int64) (*Cache, error) {
+	if block <= 0 {
+		return nil, fmt.Errorf("cachesim: block size must be positive, got %d", block)
+	}
+	return &Cache{cfg: Config{Block: block}, observeOnly: true}, nil
 }
 
 // Config returns the configuration the cache was built with.
@@ -279,12 +296,8 @@ func (c *Cache) Len() int64 {
 		return int64(len(c.faMap))
 	}
 	var n int64
-	for s := range c.saBlk {
-		for _, b := range c.saBlk[s] {
-			if b >= 0 {
-				n++
-			}
-		}
+	for _, l := range c.saLen {
+		n += int64(l)
 	}
 	return n
 }
@@ -304,17 +317,15 @@ func (c *Cache) Flush() {
 		c.faHead, c.faTail = -1, -1
 		return
 	}
-	for s := range c.saBlk {
-		for i, b := range c.saBlk[s] {
-			if b >= 0 {
-				if c.saDirty[s][i] {
-					c.stats.Writebacks++
-				}
-				c.stats.Evictions++
-				c.saBlk[s][i] = -1
-				c.saDirty[s][i] = false
+	for s, n := range c.saLen {
+		for i := 0; i < n; i++ {
+			if c.saDirty[s][i] {
+				c.stats.Writebacks++
 			}
+			c.stats.Evictions++
+			c.saDirty[s][i] = false
 		}
+		c.saLen[s] = 0
 	}
 }
 
@@ -323,8 +334,8 @@ func (c *Cache) residentBlock(blk int64) bool {
 		_, ok := c.faMap[blk]
 		return ok
 	}
-	set := blk % c.sets
-	for _, b := range c.saBlk[set] {
+	set := setOf(blk, c.sets)
+	for _, b := range c.saBlk[set][:c.saLen[set]] {
 		if b == blk {
 			return true
 		}
@@ -337,9 +348,11 @@ func (c *Cache) accessBlock(blk int64, write bool) {
 	if c.observer != nil {
 		c.observer(blk)
 	}
-	if c.cfg.Ways == 0 {
+	switch {
+	case c.observeOnly:
+	case c.cfg.Ways == 0:
 		c.faAccess(blk, write)
-	} else {
+	default:
 		c.saAccess(blk, write)
 	}
 }
@@ -418,11 +431,23 @@ func (c *Cache) faPushFront(slot int32) {
 
 // --- set associative ---
 
+// setOf maps a block to its set, blk mod sets floored so negative ids
+// land in [0, sets); Cache, Bank and the one-pass profilers
+// (internal/trace) all place blocks this way.
+func setOf(blk, sets int64) int64 {
+	s := blk % sets
+	if s < 0 {
+		s += sets
+	}
+	return s
+}
+
 func (c *Cache) saAccess(blk int64, write bool) {
 	c.tick++
-	set := blk % c.sets
+	set := setOf(blk, c.sets)
 	blks := c.saBlk[set]
-	for i, b := range blks {
+	n := c.saLen[set]
+	for i, b := range blks[:n] {
 		if b == blk {
 			c.stats.Hits++
 			if write {
@@ -435,19 +460,17 @@ func (c *Cache) saAccess(blk int64, write bool) {
 		}
 	}
 	c.noteMiss(blk)
-	// Find an empty slot or the oldest entry.
-	victim, oldest := -1, int64(1<<62)
-	for i, b := range blks {
-		if b < 0 {
-			victim = i
-			break
+	// Fill the next empty slot, or evict the oldest entry.
+	victim := n
+	if n < len(blks) {
+		c.saLen[set]++
+	} else {
+		oldest := int64(1 << 62)
+		for i, age := range c.saAge[set] {
+			if age < oldest {
+				oldest, victim = age, i
+			}
 		}
-		if c.saAge[set][i] < oldest {
-			oldest = c.saAge[set][i]
-			victim = i
-		}
-	}
-	if blks[victim] >= 0 {
 		if c.saDirty[set][victim] {
 			c.stats.Writebacks++
 		}

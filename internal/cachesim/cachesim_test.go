@@ -505,3 +505,78 @@ func TestObserverAndTraceTapConflictPanics(t *testing.T) {
 		t.Fatal("restarted trace missing")
 	}
 }
+
+// TestSetAssociativeNegativeBlocks pins floored set placement for negative
+// block ids (set = blk mod sets in [0, sets), as Bank and the one-pass
+// profilers place them) and checks that no block id doubles as an empty
+// slot: -1 on a fresh cache is a miss, and resident negative blocks are
+// evicted by age, not overwritten as if empty.
+func TestSetAssociativeNegativeBlocks(t *testing.T) {
+	for _, pol := range []Policy{LRU, FIFO} {
+		// Two sets of two ways; block size 1, so block id == address.
+		c := mustCache(t, Config{Capacity: 4, Block: 1, Ways: 2, Policy: pol})
+		for _, blk := range []int64{-3, -1, -3} { // -3 and -1 both map to set 1
+			c.AccessBlock(blk, false)
+		}
+		if s := c.Stats(); s.Misses != 2 || s.Hits != 1 {
+			t.Fatalf("%v: after -3,-1,-3 got %+v, want 2 misses 1 hit", pol, s)
+		}
+		if !c.Resident(-3, 1) || !c.Resident(-1, 1) || c.Resident(-2, 1) {
+			t.Fatalf("%v: residency of -3/-1/-2 wrong", pol)
+		}
+		c.AccessBlock(1, false) // set 1 again: evicts -1 (LRU) or -3 (FIFO)
+		victim, kept := int64(-1), int64(-3)
+		if pol == FIFO {
+			victim, kept = -3, -1
+		}
+		if c.Resident(victim, 1) || !c.Resident(kept, 1) {
+			t.Fatalf("%v: block 1 should evict %d and keep %d", pol, victim, kept)
+		}
+		if s := c.Stats(); s.Evictions != 1 || c.Len() != 2 {
+			t.Fatalf("%v: got %+v and %d resident, want 1 eviction and 2 resident", pol, s, c.Len())
+		}
+		c.Flush()
+		if c.Len() != 0 || c.Resident(kept, 1) {
+			t.Fatalf("%v: flush left blocks resident", pol)
+		}
+		// One set: every id maps to set 0, and -1 must still miss cold.
+		one := mustCache(t, Config{Capacity: 2, Block: 1, Ways: 2, Policy: pol})
+		one.AccessBlock(-1, false)
+		if s := one.Stats(); s.Misses != 1 || s.Hits != 0 {
+			t.Fatalf("%v: first access to -1 got %+v, want a miss", pol, s)
+		}
+	}
+}
+
+// TestObserveOnlyCountsAndRecords checks the record-only cache: every
+// block access reaches the observer and is counted, nothing is resident,
+// and no hit, miss or eviction is simulated.
+func TestObserveOnlyCountsAndRecords(t *testing.T) {
+	c, err := NewObserveOnly(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int64
+	c.SetObserver(func(blk int64) { seen = append(seen, blk) })
+	c.Access(0, 9, false) // blocks 0, 1, 2
+	c.AccessWord(13, true)
+	c.AccessBlock(7, false)
+	want := []int64{0, 1, 2, 3, 7}
+	if len(seen) != len(want) {
+		t.Fatalf("observer saw %v, want %v", seen, want)
+	}
+	for i := range want {
+		if seen[i] != want[i] {
+			t.Fatalf("observer saw %v, want %v", seen, want)
+		}
+	}
+	if s := c.Stats(); s != (Stats{Accesses: 5}) {
+		t.Fatalf("stats %+v, want only 5 accesses", s)
+	}
+	if c.Len() != 0 || c.Resident(0, 1) {
+		t.Fatal("observe-only cache reports resident blocks")
+	}
+	if _, err := NewObserveOnly(0); err == nil {
+		t.Fatal("NewObserveOnly(0) accepted a zero block size")
+	}
+}

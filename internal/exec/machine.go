@@ -3,7 +3,9 @@
 // according to SDF semantics, and charges every state touch and buffer
 // read/write to a cache simulator. Schedulers (internal/schedule) drive a
 // Machine; the cache statistics afterwards are the cost of the schedule in
-// the paper's model.
+// the paper's model. A machine built to record its access stream (a
+// Recorder and no cache capacity) simulates no cache at all: the stream
+// does not depend on the cache, so it is only counted and recorded.
 package exec
 
 import (
@@ -25,7 +27,9 @@ var (
 
 // Config describes a machine instantiation.
 type Config struct {
-	// Cache is the simulated cache configuration.
+	// Cache is the simulated cache configuration. With a Recorder, a zero
+	// Capacity (only Block set) makes the machine record-only: accesses are
+	// counted and recorded at Block granularity, and no cache is simulated.
 	Cache cachesim.Config
 	// Caps gives the buffer capacity, in items, of each channel (indexed by
 	// EdgeID). Every capacity must be at least the channel's minBuf.
@@ -84,7 +88,13 @@ func NewMachine(g *sdf.Graph, cfg Config) (*Machine, error) {
 	if len(cfg.Caps) != g.NumEdges() {
 		return nil, fmt.Errorf("exec: %d buffer capacities for %d edges", len(cfg.Caps), g.NumEdges())
 	}
-	cache, err := cachesim.New(cfg.Cache)
+	var cache *cachesim.Cache
+	var err error
+	if cfg.Recorder != nil && cfg.Cache.Capacity == 0 {
+		cache, err = cachesim.NewObserveOnly(cfg.Cache.Block)
+	} else {
+		cache, err = cachesim.New(cfg.Cache)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -216,27 +226,42 @@ func (m *Machine) ClassifyLayout(cross []sdf.EdgeID) {
 }
 
 // CanFire reports whether v can fire right now: every input channel has the
-// requisite items and every output channel has space.
+// requisite items and every output channel has space. Schedulers poll it
+// constantly, so it builds no error.
 func (m *Machine) CanFire(v sdf.NodeID) bool {
-	return m.fireCheck(v) == nil
+	_, kind := m.blocker(v)
+	return kind == nil
 }
 
 // Blocked explains why v cannot fire (ErrNotReady or ErrNoSpace), or
 // returns nil if it can.
 func (m *Machine) Blocked(v sdf.NodeID) error { return m.fireCheck(v) }
 
-func (m *Machine) fireCheck(v sdf.NodeID) error {
+// blocker returns the first channel that keeps v from firing and why:
+// ErrNotReady for an input short of items, ErrNoSpace for an output short
+// of space. kind is nil when v can fire.
+func (m *Machine) blocker(v sdf.NodeID) (e sdf.EdgeID, kind error) {
 	for _, e := range m.g.InEdges(v) {
 		if m.bufs[e].Len() < m.g.Edge(e).In {
-			return fmt.Errorf("%w: node %s edge %d has %d of %d",
-				ErrNotReady, m.g.Node(v).Name, e, m.bufs[e].Len(), m.g.Edge(e).In)
+			return e, ErrNotReady
 		}
 	}
 	for _, e := range m.g.OutEdges(v) {
 		if m.bufs[e].Space() < m.g.Edge(e).Out {
-			return fmt.Errorf("%w: node %s edge %d has space %d of %d",
-				ErrNoSpace, m.g.Node(v).Name, e, m.bufs[e].Space(), m.g.Edge(e).Out)
+			return e, ErrNoSpace
 		}
+	}
+	return 0, nil
+}
+
+func (m *Machine) fireCheck(v sdf.NodeID) error {
+	switch e, kind := m.blocker(v); kind {
+	case ErrNotReady:
+		return fmt.Errorf("%w: node %s edge %d has %d of %d",
+			ErrNotReady, m.g.Node(v).Name, e, m.bufs[e].Len(), m.g.Edge(e).In)
+	case ErrNoSpace:
+		return fmt.Errorf("%w: node %s edge %d has space %d of %d",
+			ErrNoSpace, m.g.Node(v).Name, e, m.bufs[e].Space(), m.g.Edge(e).Out)
 	}
 	return nil
 }

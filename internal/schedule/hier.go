@@ -3,8 +3,6 @@ package schedule
 import (
 	"fmt"
 
-	"streamsched/internal/cachesim"
-	"streamsched/internal/exec"
 	"streamsched/internal/hierarchy"
 	"streamsched/internal/sdf"
 	"streamsched/internal/trace"
@@ -67,32 +65,12 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 	log.SetMetrics(reg)
 	log.SetSpillThreshold(curveSpillBytes)
 	defer log.Close()
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, spec.Block), Block: spec.Block},
-		Caps:         plan.Caps,
-		TrackLatency: g.Source() != g.Sink(),
-		Recorder:     log,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
-	}
 	stage = sp.Start("record")
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return nil, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
-		}
-	}
-	log.MarkWindow()
-	m.ResetLatency()
-	fired0, items0 := m.SourceFirings(), m.InputItems()
-	sink0 := m.SinkItems()
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
-		return nil, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
-	}
-	if err := m.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
-	}
+	m, w0, err := record(g, s, plan, spec.Block, warm, measured, log, log.MarkWindow)
 	stage.End()
+	if err != nil {
+		return nil, err
+	}
 	stage = sp.Start("profile")
 	curves, err := hierarchy.ProfileHierJobs(log, spec, env.ProfileJobs, 1)
 	stage.End()
@@ -102,9 +80,9 @@ func MeasureHier(g *sdf.Graph, s Scheduler, env Env, spec hierarchy.HierSpec, wa
 	res := &HierResult{
 		Scheduler:   s.Name(),
 		Graph:       g.Name(),
-		SourceFired: m.SourceFirings() - fired0,
-		InputItems:  m.InputItems() - items0,
-		SinkItems:   m.SinkItems() - sink0,
+		SourceFired: m.SourceFirings() - w0.fired,
+		InputItems:  m.InputItems() - w0.items,
+		SinkItems:   m.SinkItems() - w0.sink,
 		Curves:      curves,
 		TraceLen:    log.Len(),
 	}
@@ -161,38 +139,18 @@ func MeasureHierPoint(g *sdf.Graph, s Scheduler, env Env, cfg hierarchy.Config, 
 	if err != nil {
 		return nil, fmt.Errorf("schedule: prepare %s: %w", s.Name(), err)
 	}
-	// As in MeasureCurve, the machine's own cache only charges accesses;
-	// the hierarchy rides the recorder tap, which sees exactly the stream
-	// the replacement policy sees, at cfg.L1.Block granularity.
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, cfg.L1.Block), Block: cfg.L1.Block},
-		Caps:         plan.Caps,
-		TrackLatency: g.Source() != g.Sink(),
-		Recorder:     sim,
-	})
+	// As in MeasureCurve, the machine records without simulating; the
+	// hierarchy rides the recorder tap at cfg.L1.Block granularity.
+	m, w0, err := record(g, s, plan, cfg.L1.Block, warm, measured, sim, sim.ResetStats)
 	if err != nil {
-		return nil, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
-	}
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return nil, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
-		}
-	}
-	sim.ResetStats()
-	fired0, items0 := m.SourceFirings(), m.InputItems()
-	sink0 := m.SinkItems()
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
-		return nil, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
-	}
-	if err := m.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
+		return nil, err
 	}
 	return &HierPointResult{
 		Scheduler:   s.Name(),
 		Graph:       g.Name(),
-		SourceFired: m.SourceFirings() - fired0,
-		InputItems:  m.InputItems() - items0,
-		SinkItems:   m.SinkItems() - sink0,
+		SourceFired: m.SourceFirings() - w0.fired,
+		InputItems:  m.InputItems() - w0.items,
+		SinkItems:   m.SinkItems() - w0.sink,
 		L1:          sim.L1Stats(),
 		L2:          sim.L2Stats(),
 	}, nil

@@ -84,36 +84,12 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	log.SetMetrics(reg)
 	log.SetSpillThreshold(curveSpillBytes)
 	defer log.Close()
-	// The machine needs a cache to charge accesses to, but the recording is
-	// capacity-independent, so pick the cheapest one to simulate: a cache
-	// that holds the whole layout, where every access after the first is a
-	// plain hit.
-	m, err := exec.NewMachine(g, exec.Config{
-		Cache:        cachesim.Config{Capacity: layoutWords(g, plan, block), Block: block},
-		Caps:         plan.Caps,
-		TrackLatency: g.Source() != g.Sink(),
-		Recorder:     log,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
-	}
 	stage = sp.Start("record")
-	if warm > 0 {
-		if err := plan.Runner.Run(m, warm); err != nil {
-			return nil, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
-		}
-	}
-	log.MarkWindow()
-	m.ResetLatency()
-	fired0, items0 := m.SourceFirings(), m.InputItems()
-	sink0 := m.SinkItems()
-	if err := plan.Runner.Run(m, fired0+measured); err != nil {
-		return nil, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
-	}
-	if err := m.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
-	}
+	m, w0, err := record(g, s, plan, block, warm, measured, log, log.MarkWindow)
 	stage.End()
+	if err != nil {
+		return nil, err
+	}
 	// The fully-associative curve is the Sets=1 organisation; profiling it
 	// through ProfileOrgsJobs folds every requested organisation into a
 	// single replay of the log.
@@ -127,9 +103,9 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	res := &CurveResult{
 		Scheduler:   s.Name(),
 		Graph:       g.Name(),
-		SourceFired: m.SourceFirings() - fired0,
-		InputItems:  m.InputItems() - items0,
-		SinkItems:   m.SinkItems() - sink0,
+		SourceFired: m.SourceFirings() - w0.fired,
+		InputItems:  m.InputItems() - w0.items,
+		SinkItems:   m.SinkItems() - w0.sink,
 		Curve:       profiles[0].LRU.Full(),
 		Orgs:        profiles[1:],
 		TraceLen:    log.Len(),
@@ -141,18 +117,40 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	return res, nil
 }
 
-// layoutWords over-approximates the machine's arena size in words, rounded
-// up to whole blocks: every module state and channel buffer block-aligned.
-func layoutWords(g *sdf.Graph, plan *Plan, block int64) int64 {
-	roundUp := func(w int64) int64 { return (w + block - 1) / block * block }
-	total := block // at least one line
-	for v := 0; v < g.NumNodes(); v++ {
-		total += roundUp(g.Node(sdf.NodeID(v)).State)
+// window holds a recorded run's counters at the start of its measured
+// window.
+type window struct{ fired, items, sink int64 }
+
+// record executes plan on a record-only machine that feeds every block
+// access, at block granularity, to rec: warm source firings, then mark
+// (which starts the measured window), then measured more. No cache is
+// simulated — schedulers never read cache state, so the stream is the one
+// every cache would see.
+func record(g *sdf.Graph, s Scheduler, plan *Plan, block, warm, measured int64, rec trace.Recorder, mark func()) (*exec.Machine, window, error) {
+	m, err := exec.NewMachine(g, exec.Config{
+		Cache:        cachesim.Config{Block: block},
+		Caps:         plan.Caps,
+		TrackLatency: g.Source() != g.Sink(),
+		Recorder:     rec,
+	})
+	if err != nil {
+		return nil, window{}, fmt.Errorf("schedule: machine for %s: %w", s.Name(), err)
 	}
-	for _, c := range plan.Caps {
-		total += roundUp(c)
+	if warm > 0 {
+		if err := plan.Runner.Run(m, warm); err != nil {
+			return nil, window{}, fmt.Errorf("schedule: warmup %s: %w", s.Name(), err)
+		}
 	}
-	return total
+	mark()
+	m.ResetLatency()
+	w0 := window{fired: m.SourceFirings(), items: m.InputItems(), sink: m.SinkItems()}
+	if err := plan.Runner.Run(m, w0.fired+measured); err != nil {
+		return nil, window{}, fmt.Errorf("schedule: run %s: %w", s.Name(), err)
+	}
+	if err := m.CheckConservation(); err != nil {
+		return nil, window{}, fmt.Errorf("schedule: %s broke conservation: %w", s.Name(), err)
+	}
+	return m, w0, nil
 }
 
 // SweepCurves records and profiles one curve per scheduler on a bounded

@@ -1,5 +1,7 @@
 package trace
 
+import "math/bits"
+
 // Set-associative LRU profiling. A set-associative cache is a bank of
 // independent small fully-associative caches: block blk lives in set
 // blk mod sets, and within a set the replacement policy orders only that
@@ -11,10 +13,49 @@ package trace
 // ablation becomes one-pass: a W-way cache of capacity M words and block
 // B has sets = (M/B)/W, and its miss count is the sum over sets of the
 // per-set misses at stack depth W.
+//
+// Placement is computed once per access per set count by a placement
+// value, shared by AssocProfiler, FIFOProfiler and OrgProfiler: for the
+// power-of-two set counts every grid produces it is a mask and a shift,
+// so the fully-associative curve (one set) costs no division at all.
+
+// placement is cachesim's set placement for one set count: set = blk mod
+// sets and within-set id = blk div sets, both floored so negative block
+// ids land in [0, sets) and stay distinct within their set. For a
+// power-of-two count they are blk & (sets-1) and an arithmetic shift;
+// other counts use the floored division.
+type placement struct {
+	sets  int64
+	mask  int64 // sets-1 when sets is a power of two, else -1
+	shift uint  // log2(sets) when sets is a power of two
+}
+
+func newPlacement(sets int64) placement {
+	p := placement{sets: sets, mask: -1}
+	if sets&(sets-1) == 0 {
+		p.mask = sets - 1
+		p.shift = uint(bits.TrailingZeros64(uint64(sets)))
+	}
+	return p
+}
+
+// place returns blk's set and its id within that set.
+func (p placement) place(blk int64) (set, id int64) {
+	if p.mask >= 0 {
+		return blk & p.mask, blk >> p.shift
+	}
+	id = blk / p.sets
+	set = blk - id*p.sets
+	if set < 0 { // truncated toward zero: step down to the floor
+		set += p.sets
+		id--
+	}
+	return set, id
+}
 
 // AssocProfiler shards a block-access stream by set index and runs an
 // independent Mattson stack profiler per set. It mirrors cachesim's
-// placement exactly (set = blk mod sets), so its curves match the
+// placement exactly (set = blk mod sets, floored), so its curves match the
 // set-associative LRU simulator access for access. An AssocProfiler with
 // one set is the fully-associative profiler.
 //
@@ -26,8 +67,8 @@ package trace
 // exact; the hybrid is what keeps multi-organisation profiling cheap per
 // access.
 type AssocProfiler struct {
-	sets int64
-	per  []setStack // per[set]
+	pl  placement
+	per []setStack // per[set]
 }
 
 // assocListLimit is the per-set stack size beyond which a list stack
@@ -47,25 +88,15 @@ func NewAssocProfiler(sets int64) *AssocProfiler {
 	if sets < 1 {
 		panic("trace: AssocProfiler needs at least one set")
 	}
-	p := &AssocProfiler{sets: sets, per: make([]setStack, sets)}
+	p := &AssocProfiler{pl: newPlacement(sets), per: make([]setStack, sets)}
 	for i := range p.per {
 		p.per[i].list = &listStack{}
 	}
 	return p
 }
 
-// setIndex is cachesim's placement, blk mod sets, floored so negative
-// block ids land in [0, sets).
-func setIndex(blk, sets int64) int64 {
-	set := blk % sets
-	if set < 0 {
-		set += sets
-	}
-	return set
-}
-
 // Sets returns the number of sets the profiler shards into.
-func (p *AssocProfiler) Sets() int64 { return p.sets }
+func (p *AssocProfiler) Sets() int64 { return p.pl.sets }
 
 // RecordBlock implements Recorder.
 func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
@@ -74,13 +105,9 @@ func (p *AssocProfiler) RecordBlock(blk int64) { p.Touch(blk) }
 // set and feeds the set's stack the block's within-set id, so each
 // per-set stack sees a dense id space regardless of the stride the set
 // selection induces.
-func (p *AssocProfiler) Touch(blk int64) { p.touchSet(setIndex(blk, p.sets), blk) }
-
-// touchSet feeds blk, already placed in set, to that set's stack.
-func (p *AssocProfiler) touchSet(set, blk int64) {
-	// (blk - set) is an exact multiple of sets, so this floored division is
-	// collision-free even for negative block ids.
-	p.per[set].touch((blk - set) / p.sets)
+func (p *AssocProfiler) Touch(blk int64) {
+	set, id := p.pl.place(blk)
+	p.per[set].touch(id)
 }
 
 func (s *setStack) touch(blk int64) {
@@ -149,7 +176,7 @@ func (p *AssocProfiler) ResetCounts() {
 
 // Curve freezes the per-set histograms into an AssocCurve.
 func (p *AssocProfiler) Curve() *AssocCurve {
-	c := &AssocCurve{Sets: p.sets, per: make([]*MissCurve, p.sets)}
+	c := &AssocCurve{Sets: p.pl.sets, per: make([]*MissCurve, len(p.per))}
 	for set := range p.per {
 		mc := p.per[set].curve()
 		c.per[set] = mc

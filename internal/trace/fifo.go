@@ -15,11 +15,11 @@ import "sort"
 
 // FIFOProfiler replays a block-access stream through per-set FIFO caches
 // for a fixed set count and a list of way counts, all in one pass. It
-// mirrors cachesim's FIFO exactly: placement is blk mod sets, empty slots
-// fill in index order, and eviction removes the oldest insertion;
-// hits do not reorder the queue.
+// mirrors cachesim's FIFO exactly: placement is blk mod sets (floored),
+// empty slots fill in index order, and eviction removes the oldest
+// insertion; hits do not reorder the queue.
 type FIFOProfiler struct {
-	sets     int64
+	pl       placement
 	banks    []*fifoBank // one per way count, ascending
 	accesses int64
 	cold     int64
@@ -34,8 +34,9 @@ type FIFOProfiler struct {
 // FIFOProfiler and OrgProfiler hold one per replayed way count.
 type fifoBank struct {
 	ways   int64
-	blk    []int64 // sets * ways entries, -1 = empty
-	head   []int32 // per set: next insertion slot
+	blk    []int64 // sets * ways entries; a set's first fill[set] are resident
+	fill   []int32 // per set: occupied slots, filled in index order
+	head   []int32 // per set, once full: the oldest slot, replaced next
 	misses int64
 	// resident is an O(1) membership index, used instead of scanning the
 	// row when ways exceeds fifoScanLimit (large fully-associative FIFOs
@@ -62,10 +63,7 @@ func newFIFOBanks(sets int64, ways []int64) []*fifoBank {
 	sort.Slice(uniq, func(i, j int) bool { return uniq[i] < uniq[j] })
 	banks := make([]*fifoBank, len(uniq))
 	for i, w := range uniq {
-		f := &fifoBank{ways: w, blk: make([]int64, sets*w), head: make([]int32, sets)}
-		for j := range f.blk {
-			f.blk[j] = -1
-		}
+		f := &fifoBank{ways: w, blk: make([]int64, sets*w), fill: make([]int32, sets), head: make([]int32, sets)}
 		if w > fifoScanLimit {
 			f.resident = make(map[int64]struct{}, sets*w)
 		}
@@ -89,11 +87,11 @@ func NewFIFOProfiler(sets int64, ways []int64) *FIFOProfiler {
 			panic("trace: FIFOProfiler way counts must be >= 1")
 		}
 	}
-	return &FIFOProfiler{sets: sets, banks: newFIFOBanks(sets, ways)}
+	return &FIFOProfiler{pl: newPlacement(sets), banks: newFIFOBanks(sets, ways)}
 }
 
 // Sets returns the number of sets the replayer shards into.
-func (p *FIFOProfiler) Sets() int64 { return p.sets }
+func (p *FIFOProfiler) Sets() int64 { return p.pl.sets }
 
 // RecordBlock implements Recorder.
 func (p *FIFOProfiler) RecordBlock(blk int64) { p.Touch(blk) }
@@ -104,7 +102,7 @@ func (p *FIFOProfiler) Touch(blk int64) {
 	if p.firstEver(blk) {
 		p.cold++
 	}
-	set := setIndex(blk, p.sets)
+	set, _ := p.pl.place(blk)
 	for _, f := range p.banks {
 		f.touch(set, blk)
 	}
@@ -114,24 +112,28 @@ func (p *FIFOProfiler) Touch(blk int64) {
 func (f *fifoBank) touch(set, blk int64) {
 	base := set * f.ways
 	row := f.blk[base : base+f.ways]
+	n := f.fill[set]
 	if f.resident != nil {
 		if _, ok := f.resident[blk]; ok {
 			return // FIFO hit: no reorder
 		}
+		f.resident[blk] = struct{}{}
 	} else {
-		for _, b := range row {
+		for _, b := range row[:n] {
 			if b == blk {
 				return // FIFO hit: no reorder
 			}
 		}
 	}
 	f.misses++
+	if int64(n) < f.ways {
+		row[n] = blk
+		f.fill[set] = n + 1
+		return
+	}
 	h := f.head[set]
 	if f.resident != nil {
-		if victim := row[h]; victim >= 0 {
-			delete(f.resident, victim)
-		}
-		f.resident[blk] = struct{}{}
+		delete(f.resident, row[h])
 	}
 	row[h] = blk
 	h++
@@ -186,7 +188,7 @@ func (p *FIFOProfiler) ResetCounts() {
 }
 
 // Curve freezes the replayed counts into a FIFOCurve.
-func (p *FIFOProfiler) Curve() *FIFOCurve { return fifoCurve(p.sets, p.accesses, p.cold, p.banks) }
+func (p *FIFOProfiler) Curve() *FIFOCurve { return fifoCurve(p.pl.sets, p.accesses, p.cold, p.banks) }
 
 // fifoCurve freezes banks' miss counts into a FIFOCurve with the given
 // counted totals.

@@ -163,8 +163,8 @@ func (p *OrgProfiler) ResetCounts() {
 // Touch processes one access under every organisation.
 func (p *OrgProfiler) Touch(blk int64) {
 	for i, a := range p.lru {
-		set := setIndex(blk, a.sets)
-		a.touchSet(set, blk)
+		set, id := a.pl.place(blk)
+		a.per[set].touch(id)
 		for _, f := range p.fifo[i] {
 			f.touch(set, blk)
 		}

@@ -11,13 +11,13 @@ package trace
 // with flat-array arithmetic and no pointer chasing: append a new most-
 // recent slot, remove an arbitrary slot, and count live slots above a
 // slot. Dead slots accumulate as blocks are reaccessed, so when the slot
-// space is exhausted the live slots are compacted and renumbered in order,
-// keeping memory proportional to the number of distinct live blocks
-// rather than the trace length. Compaction is O(slots) and happens at
+// space is exhausted the live slots are compacted in place and renumbered
+// in order, keeping memory proportional to the peak number of distinct
+// live blocks rather than the trace length. Compaction is O(slots) and happens at
 // most once per ~3x growth, so appends stay amortized O(log n).
 type timeline struct {
 	bit   []int32 // Fenwick tree over slot occupancy, 1-based
-	blkOf []int64 // slot -> live block id, -1 when dead, 1-based
+	blkOf []int64 // slot -> block id, 1-based; meaningful only while live
 	next  int32   // next unused slot
 	live  int32   // number of live slots
 	ops   int64   // structural operations (append/remove/count) performed
@@ -56,11 +56,11 @@ func (t *timeline) CountAfter(slot int32) int64 {
 	return int64(t.live - t.prefix(slot))
 }
 
-// Remove kills a live slot.
+// Remove kills a live slot. Liveness is the tree's occupancy alone, so
+// every int64, negative ones included, is a valid block id.
 func (t *timeline) Remove(slot int32) {
 	t.ops++
 	t.add(slot, -1)
-	t.blkOf[slot] = -1
 	t.live--
 }
 
@@ -82,30 +82,46 @@ func (t *timeline) Append(blk int64, relabel func(blk int64, slot int32)) int32 
 }
 
 func (t *timeline) compact(relabel func(int64, int32)) {
+	// Undo the Fenwick sums in place (the inverse of the linear-time
+	// build, highest node first) so bit[s] is slot s's own occupancy.
+	size := int32(len(t.bit)) - 1
+	for i := size; i > 0; i-- {
+		if j := i + i&-i; j <= size {
+			t.bit[j] -= t.bit[i]
+		}
+	}
+	// Live slots only move down (n <= s), so they compact in place; the
+	// arrays are reallocated only when the live set has outgrown them.
 	newCap := 4 * (t.live + 1024)
-	blkOf := make([]int64, newCap+1)
+	blkOf := t.blkOf
+	if int(newCap) < cap(blkOf) {
+		blkOf = blkOf[:newCap+1]
+	} else {
+		blkOf = make([]int64, newCap+1)
+	}
 	var n int32
 	for s := int32(1); s < t.next; s++ {
-		if t.blkOf[s] >= 0 {
+		if t.bit[s] != 0 {
 			n++
 			blkOf[n] = t.blkOf[s]
-			relabel(t.blkOf[s], n)
+			relabel(blkOf[n], n)
 		}
 	}
 	t.blkOf = blkOf
 	t.next = n + 1
 	// Rebuild the Fenwick tree with slots 1..n occupied: node i covers the
 	// range (i - lowbit(i), i], so its count is the occupied part of that.
-	t.bit = make([]int32, newCap+1)
+	if int(newCap) < cap(t.bit) {
+		t.bit = t.bit[:newCap+1]
+	} else {
+		t.bit = make([]int32, newCap+1)
+	}
 	for i := int32(1); i <= newCap; i++ {
 		lo := i - i&-i
-		if lo >= n {
-			continue
-		}
 		hi := i
 		if hi > n {
 			hi = n
 		}
-		t.bit[i] = hi - lo
+		t.bit[i] = max(hi-lo, 0)
 	}
 }
