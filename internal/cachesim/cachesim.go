@@ -253,8 +253,8 @@ func (c *Cache) Access(addr, size int64, write bool) {
 	if size <= 0 {
 		return
 	}
-	first := addr / c.cfg.Block
-	last := (addr + size - 1) / c.cfg.Block
+	first := c.blockOf(addr)
+	last := c.blockOf(addr + size - 1)
 	for b := first; b <= last; b++ {
 		c.accessBlock(b, write)
 	}
@@ -262,7 +262,18 @@ func (c *Cache) Access(addr, size int64, write bool) {
 
 // AccessWord touches a single word.
 func (c *Cache) AccessWord(addr int64, write bool) {
-	c.accessBlock(addr/c.cfg.Block, write)
+	c.accessBlock(c.blockOf(addr), write)
+}
+
+// blockOf returns the block holding word addr: the floored quotient, so
+// a negative address lands in a negative block (with Block 4, word -1 is
+// in block -1, not block 0).
+func (c *Cache) blockOf(addr int64) int64 {
+	b := addr / c.cfg.Block
+	if addr < 0 && b*c.cfg.Block != addr {
+		b--
+	}
+	return b
 }
 
 // AccessBlock touches one block directly by its block id. Block-level
@@ -280,8 +291,8 @@ func (c *Cache) Resident(addr, size int64) bool {
 	if size <= 0 {
 		return true
 	}
-	first := addr / c.cfg.Block
-	last := (addr + size - 1) / c.cfg.Block
+	first := c.blockOf(addr)
+	last := c.blockOf(addr + size - 1)
 	for b := first; b <= last; b++ {
 		if !c.residentBlock(b) {
 			return false

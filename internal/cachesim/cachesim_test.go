@@ -1,6 +1,7 @@
 package cachesim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -578,5 +579,46 @@ func TestObserveOnlyCountsAndRecords(t *testing.T) {
 	}
 	if _, err := NewObserveOnly(0); err == nil {
 		t.Fatal("NewObserveOnly(0) accepted a zero block size")
+	}
+}
+
+// TestNegativeWordAddressesFloorToBlocks pins floored word-to-block
+// mapping: with Block 4, words -4..-1 are block -1 and words 0..3 block
+// 0, on every path that takes word addresses (Access, AccessWord,
+// Resident and ClassifyRange), matching the floored set placement.
+func TestNegativeWordAddressesFloorToBlocks(t *testing.T) {
+	o, err := NewObserveOnly(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []int64
+	o.SetObserver(func(blk int64) { seen = append(seen, blk) })
+	o.AccessWord(-1, false)
+	o.AccessWord(-4, false)
+	o.AccessWord(-5, false)
+	o.Access(-6, 8, false) // words -6..1: blocks -2, -1, 0
+	want := []int64{-1, -1, -2, -2, -1, 0}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("observer saw blocks %v, want %v", seen, want)
+	}
+
+	c, err := New(Config{Capacity: 16, Block: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ClassifyRange(-4, 4, ClassState)
+	c.AccessWord(-1, false) // block -1: a state miss
+	c.AccessWord(-3, false) // same block: a hit
+	if s := c.Stats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("stats %+v, want 1 miss and 1 hit", s)
+	}
+	if got := c.ClassMisses().Get(ClassState); got != 1 {
+		t.Fatalf("state misses = %d, want 1", got)
+	}
+	if !c.Resident(-4, 4) {
+		t.Fatal("words -4..-1 not resident after touching block -1")
+	}
+	if c.Resident(-1, 2) || c.Resident(0, 1) {
+		t.Fatal("block 0 resident, but only block -1 was touched")
 	}
 }

@@ -64,8 +64,8 @@ func (c *Cache) ClassifyRange(base, size int64, cl Class) {
 		return
 	}
 	c.classes = append(c.classes, classRange{
-		firstBlock: base / c.cfg.Block,
-		lastBlock:  (base + size - 1) / c.cfg.Block,
+		firstBlock: c.blockOf(base),
+		lastBlock:  c.blockOf(base + size - 1),
 		class:      cl,
 	})
 	sort.Slice(c.classes, func(i, j int) bool {

@@ -8,6 +8,10 @@ import (
 	"streamsched/internal/trace"
 )
 
+// curveSpillBytes bounds the in-memory encoded trace during MeasureHier;
+// longer traces spill to a temporary file.
+const curveSpillBytes = 1 << 30
+
 // HierResult is the multi-level analogue of CurveResult: one recorded run
 // of a schedule, profiled into exact per-level miss counts for every
 // (L1, L2) grid point of a hierarchy.HierSpec at once.

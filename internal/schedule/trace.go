@@ -9,10 +9,6 @@ import (
 	"streamsched/internal/trace"
 )
 
-// curveSpillBytes bounds the in-memory encoded trace during MeasureCurve;
-// longer traces spill to a temporary file.
-const curveSpillBytes = 1 << 30
-
 // CurveResult is the miss-curve analogue of Result: one recorded run of a
 // schedule, profiled into the exact fully-associative LRU miss count for
 // every cache capacity at once. Where Measure answers "how many misses at
@@ -57,13 +53,17 @@ func MeasureCurve(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measure
 }
 
 // MeasureCurveOrgs is MeasureCurve with additional cache organisations:
-// alongside the fully-associative LRU curve, the same recorded trace is
-// profiled — in one extra replay driving every organisation at once —
-// under each requested OrgSpec (per-set Mattson stacks for set-associative
-// LRU, multiplexed per-set replicas for FIFO). The result's Orgs slice
-// parallels orgs; each entry exactly matches what Measure would report
-// with the corresponding cachesim.Config, still from one execution of the
-// schedule.
+// alongside the fully-associative LRU curve, the same access stream is
+// profiled under each requested OrgSpec (per-set Mattson stacks for
+// set-associative LRU, multiplexed per-set replicas for FIFO). One
+// trace.OrgProfiler drives every organisation at once as the machine
+// emits each access, so the trace is never stored or replayed, and
+// memory grows with the distinct blocks, not the trace length. The
+// result's Orgs slice parallels orgs; each entry exactly matches what
+// Measure would report with the corresponding cachesim.Config, still from
+// one execution of the schedule. The pass publishes trace.accesses (the
+// recorded accesses, warmup included) and the profiler's totals to
+// env.Metrics.
 func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, measured int64, orgs []trace.OrgSpec) (*CurveResult, error) {
 	if measured <= 0 {
 		return nil, fmt.Errorf("schedule: measured window must be positive, got %d", measured)
@@ -80,26 +80,22 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 	if err != nil {
 		return nil, fmt.Errorf("schedule: prepare %s: %w", s.Name(), err)
 	}
-	log := trace.NewLog()
-	log.SetMetrics(reg)
-	log.SetSpillThreshold(curveSpillBytes)
-	defer log.Close()
-	stage = sp.Start("record")
-	m, w0, err := record(g, s, plan, block, warm, measured, log, log.MarkWindow)
+	// The fully-associative curve is the Sets=1 organisation.
+	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
+	prof, err := trace.NewOrgProfiler(specs)
+	if err != nil {
+		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)
+	}
+	stage = sp.Start("record_profile")
+	m, w0, err := record(g, s, plan, block, warm, measured, prof, prof.ResetCounts)
 	stage.End()
 	if err != nil {
 		return nil, err
 	}
-	// The fully-associative curve is the Sets=1 organisation; profiling it
-	// through ProfileOrgsJobs folds every requested organisation into a
-	// single replay of the log.
-	stage = sp.Start("profile")
-	specs := append([]trace.OrgSpec{{Sets: 1}}, orgs...)
-	profiles, err := trace.ProfileOrgsJobs(log, specs, 1, 1)
-	stage.End()
-	if err != nil {
-		return nil, fmt.Errorf("schedule: profile %s: %w", s.Name(), err)
-	}
+	profiles := prof.Curves()
+	traceLen := m.Cache().Stats().Accesses
+	reg.Counter("trace.accesses").Add(traceLen)
+	prof.PublishMetrics(reg, profiles)
 	res := &CurveResult{
 		Scheduler:   s.Name(),
 		Graph:       g.Name(),
@@ -108,7 +104,7 @@ func MeasureCurveOrgs(g *sdf.Graph, s Scheduler, env Env, block int64, warm, mea
 		SinkItems:   m.SinkItems() - w0.sink,
 		Curve:       profiles[0].LRU.Full(),
 		Orgs:        profiles[1:],
-		TraceLen:    log.Len(),
+		TraceLen:    traceLen,
 	}
 	res.MeanLatency, res.MaxLatency = m.Latency()
 	for _, c := range plan.Caps {

@@ -118,8 +118,9 @@ func (o *OrgCurves) Misses(ways int64, fifo bool) (n int64, ok bool) {
 // OrgProfiler profiles one access stream under a list of organisations
 // at once: per spec, one per-set LRU stack per set (an AssocProfiler) and
 // one FIFO row per set per distinct replayed way count. It implements
-// WindowedConsumer; Touch computes each spec's set index once and feeds
-// every structure of that spec.
+// WindowedConsumer, for replaying a Log, and Recorder, for profiling a
+// run while it records; Touch computes each spec's set index once and
+// feeds every structure of that spec.
 //
 // The FIFO curves take their Accesses/Cold totals from the spec's LRU
 // curve instead of tracking first-ever blocks a second time: FIFO and
@@ -159,6 +160,10 @@ func (p *OrgProfiler) ResetCounts() {
 		}
 	}
 }
+
+// RecordBlock implements Recorder, so an execution machine can profile
+// its access stream while it runs, without recording a Log.
+func (p *OrgProfiler) RecordBlock(blk int64) { p.Touch(blk) }
 
 // Touch processes one access under every organisation.
 func (p *OrgProfiler) Touch(blk int64) {

@@ -185,7 +185,7 @@ func TestTimelineOrderStatistics(t *testing.T) {
 // slots get renumbered, and checks order statistics survive intact.
 func TestTimelineCompaction(t *testing.T) {
 	tl := newTimeline()
-	initialCap := len(tl.bit) - 1
+	initialCap := len(tl.blkOf)
 	last := map[int64]int32{}
 	relabel := func(blk int64, slot int32) { last[blk] = slot }
 	compactions := 0
@@ -194,12 +194,12 @@ func TestTimelineCompaction(t *testing.T) {
 	// capacity: each reaccess burns a slot, forcing several compactions.
 	for i := 0; i < 10*initialCap; i++ {
 		blk := int64(i % universe)
-		capBefore := len(tl.bit)
+		nextBefore := tl.next
 		if s, ok := last[blk]; ok {
 			tl.Remove(s)
 		}
 		last[blk] = tl.Append(blk, relabel)
-		if len(tl.bit) != capBefore {
+		if tl.next != nextBefore+1 { // renumbered: compacted
 			compactions++
 		}
 	}

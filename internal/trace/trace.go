@@ -15,10 +15,12 @@
 // The pieces:
 //
 //   - Recorder is the event sink the execution machine emits block
-//     accesses into; Log is the standard implementation, a compact
-//     delta-varint append-only encoding that can spill to disk.
-//   - Profiler implements Mattson's algorithm with an implicit
-//     order-statistics (Fenwick) tree over last-access slots: O(log n)
+//     accesses into. Log records them, a compact delta-varint
+//     append-only encoding that can spill to disk; the profilers are
+//     Recorders too, so a run can be profiled while it records.
+//   - Profiler implements Mattson's algorithm over last-access slots
+//     kept in a word-packed order-statistics timeline (an occupancy
+//     bitset with a Fenwick tree over 64-slot word popcounts): O(log n)
 //     per access, memory proportional to the number of distinct blocks.
 //   - MissCurve is the profile result: misses as a function of capacity.
 //   - AssocProfiler shards the trace by set index and runs one Mattson
@@ -32,10 +34,11 @@
 //     shared-L2 hierarchy paths.
 //   - Sweep runs a pool of profiling jobs (schedulers x workloads) on a
 //     bounded number of goroutines.
-//   - ProfileOrgsJobs drives any number of organisations' profilers from
-//     a single replay of a recorded log, so one trace per scheduler
-//     answers every (capacity, ways, policy) robustness question. It
-//     runs one OrgProfiler inline on the calling goroutine.
+//   - OrgProfiler drives any number of organisations' profilers from one
+//     pass over the stream, so one run per scheduler answers every
+//     (capacity, ways, policy) robustness question: online as the run's
+//     Recorder, or through ProfileOrgsJobs, which replays a recorded log
+//     into one OrgProfiler inline on the calling goroutine.
 //   - FanOut streams one in-order decode of the log to any number of
 //     consumers — inline for one, through refcounted batches and
 //     per-consumer bounded channels for several. The hierarchy
@@ -50,9 +53,9 @@
 //     order, never an approximation. Sharded hierarchy results are
 //     byte-identical at any worker count (each worker owns whole units
 //     and sees the full stream; nothing is merged numerically).
-//   - One replay: a profiling call pays exactly one decode of the log,
-//     however many organisations (or consumers) it drives; Replays() is the
-//     observable counter. Spilled logs stream chunk by chunk from disk, so
+//   - One pass: a profiling call that replays a log pays exactly one
+//     decode, however many organisations (or consumers) it drives;
+//     Replays() is the observable counter. Spilled logs stream chunk by chunk from disk, so
 //     resident memory is flat in the trace length.
 //   - Deterministic windows: ForEachWindowed and FanOut reset per-window
 //     counters at exactly the recorded MarkWindow position; first-ever
